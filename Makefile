@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json test test-real test-netcomm race race-real chaos check serve-smoke bench-service bench-backend bench-netcomm bench-speedup bench-sequence bench-cluster fuzz-smoke cover
+.PHONY: all build vet lint lint-json test test-real test-netcomm race race-real chaos test-takeover check serve-smoke bench-service bench-backend bench-netcomm bench-speedup bench-sequence bench-cluster fuzz-smoke cover
 
 all: check
 
@@ -69,6 +69,12 @@ chaos:
 	PILUT_TEST_FAST=1 PILUT_FAULTS='seed=7,delay=0.05@1e-6' PILUT_BACKEND=real $(GO) test -count=1 ./internal/core ./internal/krylov ./internal/dist
 	PILUT_TEST_FAST=1 $(GO) test -race -count=1 ./internal/pcomm/netcomm -run 'TestGroupDropFaultReconnect|TestGroupPanicPropagation|TestGroupWatchdog'
 	$(GO) test ./cmd/pilutd -run TestClusterKillPeerFault -count=1
+
+# The failover acceptance path twenty times over: three real pilutd
+# daemons, kill a key's owner, and the survivors must answer from the
+# replica bitwise-identically. One flaky run in twenty fails the lane.
+test-takeover:
+	$(GO) test ./cmd/pilutd -run 'TestClusterKillOwnerTakeover$$' -count=20
 
 # End-to-end smoke of the solver daemon: builds pilutd, starts it, submits
 # the quickstart matrix over HTTP, solves it twice (asserting the second

@@ -368,7 +368,6 @@ func newMux(svc *service.Server, maxTimeoutMs int) *http.ServeMux {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		log.Printf("pilutd: cluster member joined: %s (epoch %d)", req.URL, v.Epoch)
 		writeJSON(w, http.StatusOK, v)
 	}))
 
@@ -385,7 +384,6 @@ func newMux(svc *service.Server, maxTimeoutMs int) *http.ServeMux {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		log.Printf("pilutd: cluster member left: %s (epoch %d)", req.URL, v.Epoch)
 		writeJSON(w, http.StatusOK, v)
 	}))
 
@@ -469,7 +467,7 @@ func main() {
 	spawnPeers := flag.Bool("spawn-peers", false, "launch one child pilutd per other -peers entry, forming the whole cluster from one command")
 	peerTimeoutMs := flag.Int("peer-timeout-ms", 10000, "per-operation timeout for daemon-to-daemon calls (factor fetch, replication, health probes)")
 	joinURL := flag.String("join", "", "base URL of a running cluster member to join at startup (requires -self; works with or without -peers)")
-	replicas := flag.Int("replicas", 1, "HRW successors that receive a proactive copy of every locally built factor (0 disables replication)")
+	replicas := flag.Int("replicas", 1, "HRW successors that hold each key besides its owner, receiving its matrix on submit and the owner's factor (0 disables replication)")
 	probeIntervalMs := flag.Int("probe-interval-ms", 1000, "membership probe period in milliseconds (0 disables probing)")
 	clusterToken := flag.String("cluster-token", os.Getenv("PILUT_CLUSTER_TOKEN"), "shared secret required on /v1/peer/* and /v1/cluster/* requests (default $PILUT_CLUSTER_TOKEN; empty disables)")
 	traceDir := flag.String("trace-dir", "", "write a Chrome trace JSON file per machine run into this directory")

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -34,10 +35,13 @@ import (
 // *live* member view by rendezvous (highest-random-weight) hashing:
 // each key has exactly one owning daemon, every daemon computes the
 // same owner from the same view with no coordination, and a member's
-// death or departure reassigns only the keys it owned. Membership is
-// dynamic — Peers only seeds the initial view; daemons join at runtime
-// via POST /v1/cluster/join and are written off by failed health
-// probes (see membership.go).
+// death or departure reassigns only the keys it owned. A key lives on
+// its owner and the next Replicas members of its ranking (its holders):
+// they receive the matrix on submit and the owner's factor after its
+// build, and every other daemon resolves the key through them.
+// Membership is dynamic — Peers only seeds the initial view; daemons
+// join at runtime via POST /v1/cluster/join and are written off by
+// failed health probes (see membership.go).
 type ClusterConfig struct {
 	// Self is this daemon's advertised base URL; when Peers is non-empty
 	// it must appear there.
@@ -50,10 +54,11 @@ type ClusterConfig struct {
 	// OpTimeout bounds each peer HTTP operation (factor fetch, matrix
 	// replication, view exchange, health probe). Default 10s.
 	OpTimeout time.Duration
-	// Replicas is how many HRW successors receive a proactive copy of
-	// each factorization built on its owner, so an owner's death is
-	// absorbed by a replica promotion instead of a rebuild. Default 1;
-	// negative disables replication.
+	// Replicas is how many HRW successors hold each key besides its
+	// owner: they receive the matrix on submit and a copy of the owner's
+	// factorization, so an owner's death is absorbed by a replica
+	// promotion instead of a rebuild. Default 1; negative disables
+	// replication.
 	Replicas int
 	// ProbeInterval is the membership heartbeat period: every interval
 	// each daemon probes all non-left members and merges their views.
@@ -134,12 +139,12 @@ type ClusterStats struct {
 	ReplicationFactor int    `json:"replication_factor"`
 	PeerFetches       int64  `json:"peer_fetches"`        // factor fetches attempted
 	PeerFetchHits     int64  `json:"peer_fetch_hits"`     // answered from a peer's cache
-	PeerFetchMisses   int64  `json:"peer_fetch_misses"`   // peer did not have it (built locally)
+	PeerFetchMisses   int64  `json:"peer_fetch_misses"`   // holder did not have it (the walk moved on)
 	PeerFetchFailures int64  `json:"peer_fetch_failures"` // transport/decode failures
 	PeerFetchRetries  int64  `json:"peer_fetch_retries"`  // bounded retries after a transient failure
 	PeerServes        int64  `json:"peer_serves"`         // factor exports served to peers
-	ReplicationsSent  int64  `json:"replications_sent"`   // matrices pushed to their owner
-	ReplicationsLost  int64  `json:"replications_lost"`   // pushes that failed (owner down)
+	ReplicationsSent  int64  `json:"replications_sent"`   // submitted matrices forwarded to the key's other holders
+	ReplicationsLost  int64  `json:"replications_lost"`   // matrix forwards that failed (holder down)
 	ReplicasPushed    int64  `json:"replicas_pushed"`     // factor copies delivered to successors
 	ReplicaPushFails  int64  `json:"replica_push_failures"`
 	ReplicaImports    int64  `json:"replica_imports"` // factor copies accepted from owners
@@ -166,8 +171,9 @@ type cluster struct {
 	mu      sync.Mutex
 	brk     *breaker
 	claimed map[string]bool // peer-imported keys already counted as takeovers
-	pending map[string]bool // owned keys whose last replica push did not fully land
+	pending map[string]bool // owned keys waiting for the replica drain
 	rng     *rand.Rand      // retry-backoff jitter; guarded by mu
+	drain   sync.Mutex      // serializes retryPendingReplicas
 
 	fetches, fetchHits, fetchMisses, fetchFailures atomic.Int64
 	fetchRetries                                   atomic.Int64
@@ -221,8 +227,8 @@ func (s *Server) PeerAuthOK(got string) bool {
 }
 
 // ranked orders the routable members for key by rendezvous hashing,
-// best first: ranked[0] is the owner, ranked[1:1+R] the replica
-// successors. Every daemon computes the same order from the same view,
+// best first: ranked[0] is the owner, ranked[1:1+R] its successors.
+// Every daemon computes the same order from the same view,
 // and removing one member deletes exactly its slot — the keys of every
 // surviving member stay put (the minimal-disruption property the
 // remapping test pins).
@@ -262,18 +268,22 @@ func (cl *cluster) owner(key string) string {
 	return r[0]
 }
 
-// successors returns the R daemons after the owner in key's ranking —
-// the replica set that receives proactive factor pushes.
-func (cl *cluster) successors(key string) []string {
+// holders returns the daemons a key lives on: the first 1+R entries of
+// its ranking. Submits forward the matrix to them, the owner (holders[0])
+// is the only daemon that builds while it answers, and a cache miss
+// anywhere asks them for the factor.
+func (cl *cluster) holders(key string) []string {
 	r := cl.ranked(key)
-	if len(r) < 2 || cl.replicas <= 0 {
-		return nil
+	if len(r) > 1+cl.replicas {
+		r = r[:1+cl.replicas]
 	}
-	end := 1 + cl.replicas
-	if end > len(r) {
-		end = len(r)
-	}
-	return r[1:end]
+	return r
+}
+
+// logf writes one line of the daemon log tagged with this member and the
+// view epoch, so a cluster run can be explained from its output.
+func (cl *cluster) logf(format string, args ...any) {
+	log.Printf("cluster %s epoch %d: %s", cl.self, cl.ms.epochNow(), fmt.Sprintf(format, args...))
 }
 
 // allow asks the peer's circuit breaker whether an operation may
@@ -337,9 +347,9 @@ func (cl *cluster) snapshot() *ClusterStats {
 	}
 }
 
-// errPeerMiss reports the owner answered cleanly but had nothing to
+// errPeerMiss reports a holder answered cleanly but had nothing to
 // serve (unknown matrix or an unexportable block-Jacobi entry): the
-// peer is healthy, the fetcher just builds locally.
+// peer is healthy, and the fetcher asks the next holder.
 var errPeerMiss = errors.New("service: peer does not have the factorization")
 
 // getFactor fetches key's encoded factorization from peer.
@@ -364,28 +374,6 @@ func (cl *cluster) getFactor(peer, key string) ([]byte, error) {
 	default:
 		return nil, &peerStatusError{peer: peer, op: "factor fetch", code: resp.StatusCode}
 	}
-}
-
-// putMatrix replicates a matrix body to its owner.
-func (cl *cluster) putMatrix(peer string, body []byte) error {
-	ctx, cancel := context.WithTimeout(context.Background(), cl.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/peer/matrix", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	cl.authorize(req)
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &peerStatusError{peer: peer, op: "matrix replication", code: resp.StatusCode}
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
 }
 
 // probeHealth asks one peer for its local (non-aggregated) health.
@@ -480,14 +468,13 @@ func wireOfEntry(ent *entry, cfg Config) (*wireFactor, error) {
 	return wf, nil
 }
 
-// ExportFactor encodes key's factorization for a peer daemon. The entry
-// is resolved strictly locally — cache hit or local build, never a
-// fetch from another peer — so daemons with disagreeing peer lists
-// cannot route a fetch in a cycle. Unknown keys surface
-// ErrUnknownMatrix (the peer endpoint answers 404 and the fetcher
-// builds locally).
+// ExportFactor encodes key's factorization for a peer daemon. It answers
+// from the cache, or builds when this daemon owns the key and holds its
+// matrix; it never fetches, so no fetch can cycle between daemons. A key
+// it cannot serve surfaces ErrUnknownMatrix (the peer endpoint answers
+// 404 and the fetcher asks the next holder).
 func (s *Server) ExportFactor(key string) ([]byte, error) {
-	ent, _, err := s.entryForLocal(key)
+	ent, _, err := s.resolve(key, true)
 	if err != nil {
 		return nil, err
 	}
@@ -589,42 +576,45 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 	return ent, nil
 }
 
-// ImportMatrix ingests a replicated matrix from a peer (the gob wireCSR
-// body of POST /v1/peer/matrix).
+// ImportMatrix stores a matrix another holder forwarded (the gob wireCSR
+// body of POST /v1/peer/matrix). It is not forwarded again: the
+// submitting daemon already sent it to every holder.
 func (s *Server) ImportMatrix(r io.Reader) (key string, known bool, err error) {
 	var w wireCSR
 	if err := gob.NewDecoder(io.LimitReader(r, maxMatrixWireBytes)).Decode(&w); err != nil {
 		return "", false, fmt.Errorf("service: decoding replicated matrix: %w", err)
 	}
-	return s.Submit(csrFromWire(w))
+	return s.register(csrFromWire(w))
 }
 
-// replicateMatrix pushes a freshly submitted matrix to its owning
-// daemon so ownership works in the submit-anywhere flow: the owner can
-// then build (and serve) the factorization even though the client never
-// talked to it. Best-effort — a dead owner costs one gated attempt and
-// the submit still succeeds locally.
-func (s *Server) replicateMatrix(key string, a *sparse.CSR) {
+// placeMatrix forwards a freshly submitted matrix to every other holder
+// of its key, so the owner can build and its successors can serve in the
+// submit-anywhere flow. Best-effort: a dead holder costs one gated
+// attempt and the submit still succeeds locally.
+func (s *Server) placeMatrix(key string, a *sparse.CSR) {
 	cl := s.cluster
 	if cl == nil {
 		return
 	}
-	owner := cl.owner(key)
-	if owner == cl.self || !cl.allow(owner) {
-		return
+	var body bytes.Buffer
+	for _, peer := range cl.holders(key) {
+		if peer == cl.self || !cl.allow(peer) {
+			continue
+		}
+		if body.Len() == 0 {
+			if err := gob.NewEncoder(&body).Encode(csrToWire(a)); err != nil {
+				cl.replLost.Add(1)
+				return
+			}
+		}
+		if err := cl.push(peer, "/v1/peer/matrix", "matrix forward", body.Bytes()); err != nil {
+			cl.replLost.Add(1)
+			cl.peerDown(peer)
+			continue
+		}
+		cl.replSent.Add(1)
+		cl.peerUp(peer)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(csrToWire(a)); err != nil {
-		cl.replLost.Add(1)
-		return
-	}
-	if err := cl.putMatrix(owner, buf.Bytes()); err != nil {
-		cl.replLost.Add(1)
-		cl.peerDown(owner)
-		return
-	}
-	cl.replSent.Add(1)
-	cl.peerUp(owner)
 }
 
 // PeerHealth is one member's row in the aggregated cluster health.

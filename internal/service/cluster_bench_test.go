@@ -37,7 +37,7 @@ func clusterOfSize(t *testing.T, n int, mats []*sparse.CSR) (srvs []*Server, shu
 		}})
 	}
 	// Submit only after every daemon exists: Submit forwards matrices to
-	// their HRW owners, and an unborn peer cannot answer.
+	// their keys' holders, and an unborn peer cannot answer.
 	for _, srv := range srvs {
 		for _, a := range mats {
 			if _, _, err := srv.Submit(a); err != nil {
@@ -169,9 +169,8 @@ func TestEmitClusterBench(t *testing.T) {
 		byURL[srv.cluster.self] = srv
 	}
 	owner, successor := byURL[ranked[0]], byURL[ranked[1]]
-	// Only the owner holds the matrix: a peer holding it would build the
-	// factor on demand when the owner's fetch walk asks, and the bench
-	// would measure the wrong world.
+	// Submit on the owner: the successor receives the matrix too, but
+	// only the owner builds.
 	if _, _, err := owner.Submit(mats[0]); err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/url"
 	"sort"
@@ -203,8 +204,7 @@ func (ms *membership) observeAlive(url string) bool {
 	if m.state == stateAlive {
 		return false
 	}
-	ms.epoch++
-	m.state, m.stamp = stateAlive, ms.epoch
+	ms.restamp(url, stateAlive)
 	return true
 }
 
@@ -229,8 +229,7 @@ func (ms *membership) observeFailure(url string) (changed bool, after memberStat
 	if want == m.state {
 		return false, m.state
 	}
-	ms.epoch++
-	m.state, m.stamp = want, ms.epoch
+	ms.restamp(url, want)
 	return true, want
 }
 
@@ -243,12 +242,7 @@ func (ms *membership) join(url string) bool {
 	if ok && m.state == stateAlive {
 		return false
 	}
-	ms.epoch++
-	if !ok {
-		m = &member{url: url}
-		ms.members[url] = m
-	}
-	m.state, m.stamp, m.fails = stateAlive, ms.epoch, 0
+	ms.restamp(url, stateAlive).fails = 0
 	return true
 }
 
@@ -264,8 +258,7 @@ func (ms *membership) leave(url string) (changed bool, err error) {
 	if m.state == stateLeft {
 		return false, nil
 	}
-	ms.epoch++
-	m.state, m.stamp = stateLeft, ms.epoch
+	ms.restamp(url, stateLeft)
 	return true, nil
 }
 
@@ -290,28 +283,46 @@ func (ms *membership) merge(v View) bool {
 			ms.epoch = r.Stamp
 		}
 		m, ok := ms.members[r.URL]
-		if !ok {
-			ms.members[r.URL] = &member{url: r.URL, state: st, stamp: r.Stamp}
-			changed = true
+		if ok && r.Stamp <= m.stamp {
 			continue
 		}
-		if r.Stamp <= m.stamp {
-			continue
-		}
-		if m.state != st {
+		if !ok || m.state != st {
 			changed = true
 		}
-		m.state, m.stamp = st, r.Stamp
+		m = ms.setState(r.URL, st, r.Stamp)
 		if st == stateAlive {
 			m.fails = 0
 		}
 	}
 	if self, ok := ms.members[ms.self]; ok && self.state != stateAlive {
-		ms.epoch++
-		self.state, self.stamp, self.fails = stateAlive, ms.epoch, 0
+		ms.restamp(ms.self, stateAlive).fails = 0
 		changed = true
 	}
 	return changed
+}
+
+// restamp moves a member to state under a fresh epoch — a transition
+// this daemon made itself rather than learned by gossip. The caller
+// holds ms.mu.
+func (ms *membership) restamp(url string, to memberState) *member {
+	ms.epoch++
+	return ms.setState(url, to, ms.epoch)
+}
+
+// setState records a member's state under stamp, admitting it when new,
+// and logs the transition with the view epoch. The caller holds ms.mu.
+func (ms *membership) setState(url string, to memberState, stamp uint64) *member {
+	m, ok := ms.members[url]
+	switch {
+	case !ok:
+		m = &member{url: url}
+		ms.members[url] = m
+		log.Printf("cluster %s epoch %d: member %s (new) → %v", ms.self, ms.epoch, url, to)
+	case m.state != to:
+		log.Printf("cluster %s epoch %d: member %s %v → %v", ms.self, ms.epoch, url, m.state, to)
+	}
+	m.state, m.stamp = to, stamp
+	return m
 }
 
 // counts tallies members per state for stats and metrics.
@@ -420,9 +431,9 @@ func (cl *cluster) postJoin(seed, joiner string) (View, error) {
 }
 
 // probeLoop is the membership heartbeat: every ProbeInterval it probes
-// all non-left members, re-replicates owned keys when the view changed,
-// and retries replica pushes that did not fully land. It runs in its own
-// goroutine from New and stops when stop closes (Shutdown).
+// all non-left members, re-queues owned keys when the view changed, and
+// drains the replica queue either way. It runs in its own goroutine from
+// New and stops when stop closes (Shutdown).
 func (s *Server) probeLoop(stop <-chan struct{}) {
 	t := time.NewTicker(s.cluster.probeInterval)
 	defer t.Stop()
@@ -434,8 +445,9 @@ func (s *Server) probeLoop(stop <-chan struct{}) {
 		}
 		if s.probeOnce() {
 			s.onViewChange()
+		} else {
+			s.retryPendingReplicas()
 		}
-		s.retryPendingReplicas()
 	}
 }
 
@@ -483,7 +495,7 @@ func (s *Server) ClusterView() (View, bool) {
 }
 
 // MergeView folds a pushed view (POST /v1/cluster/view) into the local
-// one, re-replicating owned keys when the view changed, and answers the
+// one, re-queueing owned keys when the view changed, and answers the
 // merged view.
 func (s *Server) MergeView(v View) (View, bool) {
 	if s.cluster == nil {

@@ -404,30 +404,41 @@ func memberHandler(get func() *Server) http.Handler {
 	return mux
 }
 
-// clusterTrio builds three servers joined into one cluster with
-// replication enabled and probing under manual control.
-func clusterTrio(t *testing.T) (srvs [3]*Server, tss [3]*httptest.Server, shutdown func()) {
+// memberCluster builds n servers joined into one cluster with the given
+// replication factor and probing under manual control.
+func memberCluster(t *testing.T, n, replicas int) (srvs []*Server, tss []*httptest.Server, shutdown func()) {
 	t.Helper()
-	var s [3]*Server
+	srvs = make([]*Server, n)
+	tss = make([]*httptest.Server, n)
+	peers := make([]string, n)
 	for i := range tss {
 		i := i
-		tss[i] = httptest.NewServer(memberHandler(func() *Server { return s[i] }))
+		tss[i] = httptest.NewServer(memberHandler(func() *Server { return srvs[i] }))
+		peers[i] = tss[i].URL
 	}
-	peers := []string{tss[0].URL, tss[1].URL, tss[2].URL}
-	for i := range s {
-		s[i] = New(Config{Procs: 2, Workers: 1, Backend: "real", Cluster: &ClusterConfig{
+	for i := range srvs {
+		srvs[i] = New(Config{Procs: 2, Workers: 1, Backend: "real", Cluster: &ClusterConfig{
 			Self: peers[i], Peers: peers, OpTimeout: 5 * time.Second,
-			Replicas: 1, ProbeInterval: -1,
+			Replicas: replicas, ProbeInterval: -1,
 		}})
 	}
-	return s, tss, func() {
+	return srvs, tss, func() {
 		for _, ts := range tss {
 			ts.Close()
 		}
-		for _, srv := range s {
+		for _, srv := range srvs {
 			srv.Shutdown(context.Background())
 		}
 	}
+}
+
+// clusterTrio is memberCluster with three members and R=1.
+func clusterTrio(t *testing.T) (srvs [3]*Server, tss [3]*httptest.Server, shutdown func()) {
+	t.Helper()
+	s, ts, shutdown := memberCluster(t, 3, 1)
+	copy(srvs[:], s)
+	copy(tss[:], ts)
+	return srvs, tss, shutdown
 }
 
 // TestReplicationAndTakeover is the service-layer failover contract: the
@@ -475,6 +486,9 @@ func TestReplicationAndTakeover(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// The successor counts the import before it answers, so the owner's
+	// push counter is final only once its drain has returned.
+	owner.replWG.Wait()
 	if got := owner.cluster.snapshot().ReplicasPushed; got != 1 {
 		t.Errorf("owner pushed %d replicas, want 1 (R=1)", got)
 	}
@@ -534,6 +548,96 @@ func TestReplicationAndTakeover(t *testing.T) {
 	}
 	if f := successor.StatsSnapshot().Cache.Factorizations; f != 0 {
 		t.Errorf("successor built %d factorizations; the replica should have served", f)
+	}
+}
+
+// TestClusterPlacement pins the holders invariant independently of the
+// ports the host hands out: members are addressed by their rank for the
+// key, not by index. For every (R, N) and a submit landing on the owner,
+// its first successor or a non-holder, the owner's solve is the one
+// factorization cluster-wide and reaches all R successors; after the
+// owner dies, every survivor — whether it ever saw the matrix or not —
+// answers bitwise-identically without building.
+func TestClusterPlacement(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		for _, n := range []int{3, 5} {
+			submitters := []struct {
+				name string
+				rank int
+			}{{"owner", 0}, {"successor", 1}, {"nonholder", 1 + r}}
+			for _, sub := range submitters {
+				if sub.rank >= n {
+					continue
+				}
+				t.Run(fmt.Sprintf("R=%d/N=%d/submit=%s", r, n, sub.name), func(t *testing.T) {
+					testPlacement(t, r, n, sub.rank)
+				})
+			}
+		}
+	}
+}
+
+func testPlacement(t *testing.T, r, n, submitRank int) {
+	srvs, tss, shutdown := memberCluster(t, n, r)
+	defer shutdown()
+	a := matgen.Grid2D(12, 12)
+	key := sparse.Fingerprint(a)
+	ranked := srvs[0].cluster.ranked(key)
+	index := map[string]int{}
+	for i, srv := range srvs {
+		index[srv.cluster.self] = i
+	}
+	at := func(rank int) *Server { return srvs[index[ranked[rank]]] }
+	owner := at(0)
+	factorizations := func() (total int64) {
+		for _, srv := range srvs {
+			total += srv.StatsSnapshot().Cache.Factorizations
+		}
+		return total
+	}
+	b := make([]float64, a.N)
+	for i := range b {
+		b[i] = float64(i%3) - 1
+	}
+
+	if _, _, err := at(submitRank).Submit(a); err != nil {
+		t.Fatal(err)
+	}
+	want, err := owner.Solve(context.Background(), key, b, SolveOptions{Tol: 1e-8})
+	if err != nil || !want.Converged {
+		t.Fatalf("owner solve: converged=%v err=%v", want.Converged, err)
+	}
+	for _, srv := range srvs { // let every asynchronous replica drain settle
+		srv.replWG.Wait()
+	}
+	if total, own := factorizations(), owner.StatsSnapshot().Cache.Factorizations; total != 1 || own != 1 {
+		t.Errorf("factorizations: %d cluster-wide, %d on the owner; want exactly one, on the owner", total, own)
+	}
+	if got := owner.cluster.snapshot().ReplicasPushed; got != int64(r) {
+		t.Errorf("owner pushed %d replicas, want R=%d", got, r)
+	}
+
+	tss[index[ranked[0]]].Close()
+	for rank := 1; rank < n; rank++ {
+		srv := at(rank)
+		for f := 0; f < srv.cluster.ms.deadAfter; f++ {
+			srv.cluster.ms.observeFailure(ranked[0])
+		}
+		srv.onViewChange()
+	}
+	before := factorizations()
+	for rank := 1; rank < n; rank++ {
+		got, err := at(rank).Solve(context.Background(), key, b, SolveOptions{Tol: 1e-8})
+		if err != nil {
+			t.Errorf("survivor at rank %d: %v", rank, err)
+			continue
+		}
+		if !bitsEqual(want.X, got.X) {
+			t.Errorf("survivor at rank %d answers differently from the owner", rank)
+		}
+	}
+	if after := factorizations(); after != before {
+		t.Errorf("survivors built %d factorizations; the holders should have served", after-before)
 	}
 }
 

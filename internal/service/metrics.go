@@ -69,16 +69,16 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		mw.gauge("pilut_cluster_members_suspect", "Members the view holds suspect.", float64(cs.MembersSuspect))
 		mw.gauge("pilut_cluster_members_dead", "Members the view has written off.", float64(cs.MembersDead))
 		mw.gauge("pilut_cluster_members_left", "Members administratively drained.", float64(cs.MembersLeft))
-		mw.gauge("pilut_cluster_replication_factor", "HRW successors receiving proactive factor copies.", float64(cs.ReplicationFactor))
+		mw.gauge("pilut_cluster_replication_factor", "HRW successors holding each key besides its owner.", float64(cs.ReplicationFactor))
 		mw.counter("pilut_cluster_peer_fetches_total", "Factor fetches attempted against peers.", float64(cs.PeerFetches))
 		mw.counter("pilut_cluster_peer_fetch_hits_total", "Factor fetches answered from a peer's cache.", float64(cs.PeerFetchHits))
 		mw.counter("pilut_cluster_peer_fetch_misses_total", "Factor fetches the peer answered with a clean miss.", float64(cs.PeerFetchMisses))
 		mw.counter("pilut_cluster_peer_fetch_failures_total", "Factor fetches failed by transport or decode.", float64(cs.PeerFetchFailures))
 		mw.counter("pilut_cluster_peer_fetch_retries_total", "Bounded retries after transient peer-fetch failures.", float64(cs.PeerFetchRetries))
 		mw.counter("pilut_cluster_peer_serves_total", "Factor exports served to peers.", float64(cs.PeerServes))
-		mw.counter("pilut_cluster_replications_sent_total", "Matrices pushed to their owning daemon.", float64(cs.ReplicationsSent))
-		mw.counter("pilut_cluster_replications_lost_total", "Matrix pushes that failed.", float64(cs.ReplicationsLost))
-		mw.counter("pilut_cluster_replicas_pushed_total", "Factor copies delivered to HRW successors.", float64(cs.ReplicasPushed))
+		mw.counter("pilut_cluster_replications_sent_total", "Submitted matrices forwarded to the other holders of their key.", float64(cs.ReplicationsSent))
+		mw.counter("pilut_cluster_replications_lost_total", "Matrix forwards to holders that failed.", float64(cs.ReplicationsLost))
+		mw.counter("pilut_cluster_replicas_pushed_total", "Owner factor copies delivered to the key's successors.", float64(cs.ReplicasPushed))
 		mw.counter("pilut_cluster_replica_push_failures_total", "Factor copy pushes that failed.", float64(cs.ReplicaPushFails))
 		mw.counter("pilut_cluster_replica_imports_total", "Factor copies accepted from owners.", float64(cs.ReplicaImports))
 		mw.counter("pilut_cluster_takeover_keys_total", "Peer-imported keys claimed after a view change.", float64(cs.TakeoverKeys))

@@ -1,13 +1,13 @@
 package service
 
-// Proactive factor replication and owner-failure takeover. When a
-// factorization is built on its owning daemon, the owner pushes the
-// gob-encoded factor to its R HRW successors so an owner's death is
-// absorbed by HRW itself: the first successor — already holding the
-// bytes — becomes the new owner the moment the view writes the old one
-// off, and a solve there is a cache hit, not a rebuild. On every view
-// change each daemon re-walks its cache, claims keys it now owns, and
-// re-replicates them to the current successor set.
+// Factor replication and owner-failure takeover. A key lives on its
+// holders (cluster.holders): the owner builds, and only the owner pushes
+// the gob-encoded factor to its R successors, so an owner's death is
+// absorbed by HRW itself — the first successor, already holding the
+// bytes, becomes the new owner the moment the view writes the old one
+// off, and a solve there is a cache hit, not a rebuild. Pushes go
+// through one pending queue: a build, a view change and a failed push
+// all mark the key, and one drain (retryPendingReplicas) pushes it.
 //
 // This file is under the errdrop analyzer's strict cluster boundary:
 // every error from the net/http, io and encoding layers must be handled
@@ -103,54 +103,28 @@ func (cl *cluster) getFactorRetry(peer, key string) ([]byte, error) {
 	return cl.getFactor(peer, key)
 }
 
-// fetchCandidate picks the next daemon worth asking for key: the owner,
-// then its replicas, in HRW order — recomputed from the live view on
-// every call, so a request in flight during a takeover retries against
-// the updated view instead of failing with the stale one.
-func (cl *cluster) fetchCandidate(key string, tried map[string]bool) string {
-	r := cl.ranked(key)
-	limit := 1 + cl.replicas
-	if limit > len(r) {
-		limit = len(r)
-	}
-	for _, p := range r[:limit] {
-		if !tried[p] {
-			return p
-		}
-	}
-	return ""
-}
-
-// peerFetch tries to satisfy a cache miss from the cluster: the key's
-// owner first, then its replicas. Failure of any kind — breaker open,
-// candidates exhausted, decode mismatch — returns false and the caller
-// builds locally, so no peer death can fail a request this daemon could
-// answer alone. A clean miss from a healthy candidate stops the walk:
-// nobody built this key yet, and a local build answers faster than more
-// round-trips.
+// peerFetch is the part of the holder walk that asks peers: every holder
+// of key but this daemon, in rank order over the live view. A clean miss
+// or a failure of any kind (breaker open, transport, decode mismatch)
+// moves on to the next holder; false means none could serve, and the
+// caller falls back to a local build or ErrUnknownMatrix.
 func (s *Server) peerFetch(key string) (*entry, bool) {
 	cl := s.cluster
 	if cl == nil {
 		return nil, false
 	}
-	tried := map[string]bool{cl.self: true}
-	for {
-		peer := cl.fetchCandidate(key, tried)
-		if peer == "" {
-			return nil, false
-		}
-		tried[peer] = true
-		if !cl.allow(peer) {
+	for _, peer := range cl.holders(key) {
+		if peer == cl.self || !cl.allow(peer) {
 			continue
 		}
 		cl.fetches.Add(1)
 		data, err := cl.getFactorRetry(peer, key)
+		if errors.Is(err, errPeerMiss) {
+			cl.fetchMisses.Add(1)
+			cl.peerUp(peer)
+			continue
+		}
 		if err != nil {
-			if errors.Is(err, errPeerMiss) {
-				cl.fetchMisses.Add(1)
-				cl.peerUp(peer)
-				return nil, false
-			}
 			cl.fetchFailures.Add(1)
 			cl.peerDown(peer)
 			continue
@@ -163,15 +137,18 @@ func (s *Server) peerFetch(key string) (*entry, bool) {
 		}
 		ent.origin = originPeer
 		cl.fetchHits.Add(1)
+		cl.logf("factor %s: fetched from %s", key, peer)
 		return ent, true
 	}
+	return nil, false
 }
 
-// putReplica pushes an encoded factorization to one successor.
-func (cl *cluster) putReplica(peer, key string, body []byte) error {
+// push POSTs an encoded body to one holder: a forwarded matrix or a
+// factor replica.
+func (cl *cluster) push(peer, path, op string, body []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), cl.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/peer/replica/"+url.PathEscape(key), bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -183,102 +160,110 @@ func (cl *cluster) putReplica(peer, key string, body []byte) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return &peerStatusError{peer: peer, op: "replica push", code: resp.StatusCode}
+		return &peerStatusError{peer: peer, op: op, code: resp.StatusCode}
 	}
 	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		return fmt.Errorf("service: draining replica answer from %s: %w", peer, err)
+		return fmt.Errorf("service: draining %s answer from %s: %w", op, peer, err)
 	}
 	return nil
 }
 
-// pushReplicas sends ent to the current HRW successors of its key.
-// Only the owner pushes (callers check), so R successors hold the bytes
-// and the death of the owner promotes one of them for free. Block-Jacobi
-// entries are not exportable and are skipped — they are the cheap rung.
-// A push that does not fully land (breaker open, transport failure,
-// peer rejection) marks the key pending so the probe loop retries it —
-// a stable view must not strand a factor without its redundancy.
-func (s *Server) pushReplicas(ent *entry) {
+// pushReplicas sends ent to the other current holders of its key — the
+// owner's successors — and reports whether every push landed.
+// Block-Jacobi entries are not exportable and count as landed: they are
+// the cheap rung, not worth protecting.
+func (s *Server) pushReplicas(ent *entry) bool {
 	cl := s.cluster
 	wf, err := wireOfEntry(ent, s.cfg)
 	if err != nil {
-		return // not exportable; nothing to protect
+		return true
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(wf); err != nil {
 		cl.replicaPushFailures.Add(1)
-		return
+		return false
 	}
-	landed := true
-	for _, peer := range cl.successors(ent.key) {
+	var pushed, missed []string
+	for _, peer := range cl.holders(ent.key) {
 		if peer == cl.self {
 			continue
 		}
 		if !cl.allow(peer) {
-			landed = false
+			missed = append(missed, peer)
 			continue
 		}
-		if err := cl.putReplica(peer, ent.key, buf.Bytes()); err != nil {
+		if err := cl.push(peer, "/v1/peer/replica/"+url.PathEscape(ent.key), "replica push", buf.Bytes()); err != nil {
 			cl.replicaPushFailures.Add(1)
 			cl.peerDown(peer)
-			landed = false
+			missed = append(missed, peer)
 			continue
 		}
 		cl.replicasPushed.Add(1)
 		cl.peerUp(peer)
+		pushed = append(pushed, peer)
 	}
-	cl.mu.Lock()
-	if landed {
-		delete(cl.pending, ent.key)
-	} else {
-		cl.pending[ent.key] = true
-	}
-	cl.mu.Unlock()
+	cl.logf("replica %s: pushed to %v, pending for %v", ent.key, pushed, missed)
+	return len(missed) == 0
 }
 
-// retryPendingReplicas re-pushes owned keys whose last replica push did
-// not fully land. The probe loop calls it every round, so a transient
-// push failure heals within a probe interval instead of waiting for a
-// view change that may never come.
+// queueReplica follows a local build: the owner marks the key pending
+// and drains the queue off the request path; a non-owner's fallback
+// build is never pushed.
+func (s *Server) queueReplica(key string, owner bool) {
+	cl := s.cluster
+	if !owner {
+		cl.logf("replica %s: skipped-not-owner (fallback build)", key)
+		return
+	}
+	if cl.replicas <= 0 {
+		return
+	}
+	cl.mu.Lock()
+	cl.pending[key] = true
+	cl.mu.Unlock()
+	cl.logf("replica %s: owner build, marked pending", key)
+	s.replWG.Add(1)
+	go func() {
+		defer s.replWG.Done()
+		s.retryPendingReplicas()
+	}()
+}
+
+// retryPendingReplicas is the one replica drain: it pushes every pending
+// key this daemon still owns and caches, and keeps a key pending until
+// all its successors have it. Builds and view changes call it, and the
+// probe loop calls it every round, so a transient push failure heals
+// within a probe interval instead of waiting for a view change that may
+// never come. Drains run one at a time, so no key is pushed twice at once.
 func (s *Server) retryPendingReplicas() {
 	cl := s.cluster
+	cl.drain.Lock()
+	defer cl.drain.Unlock()
 	cl.mu.Lock()
 	keys := make([]string, 0, len(cl.pending))
 	for k := range cl.pending {
 		keys = append(keys, k)
 	}
 	cl.mu.Unlock()
-	if len(keys) == 0 {
-		return
-	}
 	sort.Strings(keys)
 	for _, key := range keys {
 		s.mu.Lock()
-		ent, ok := s.cache.entries[key]
+		ent, cached := s.cache.entries[key]
 		s.mu.Unlock()
-		if !ok || cl.replicas <= 0 || cl.owner(key) != cl.self {
-			// Evicted, replication off, or ownership moved — the push is
-			// no longer this daemon's job.
+		done := true
+		switch {
+		case !cached: // evicted: nothing left to protect
+		case cl.owner(key) != cl.self:
+			cl.logf("replica %s: skipped-not-owner (ownership moved)", key)
+		default:
+			done = s.pushReplicas(ent)
+		}
+		if done {
 			cl.mu.Lock()
 			delete(cl.pending, key)
 			cl.mu.Unlock()
-			continue
 		}
-		s.pushReplicas(ent)
 	}
-}
-
-// maybeReplicate pushes a freshly built entry to its successors when
-// this daemon owns the key. Runs asynchronously after a local build.
-func (s *Server) maybeReplicate(ent *entry) {
-	cl := s.cluster
-	if cl == nil || cl.replicas <= 0 {
-		return
-	}
-	if cl.owner(ent.key) != cl.self {
-		return
-	}
-	s.pushReplicas(ent)
 }
 
 // ImportReplica ingests a proactively pushed factorization (the body of
@@ -309,15 +294,17 @@ func (s *Server) ImportReplica(key string, r io.Reader) (known bool, err error) 
 	s.cache.insert(ent)
 	s.mu.Unlock()
 	cl.replicaImports.Add(1)
+	cl.logf("replica %s: landed", key)
 	return false, nil
 }
 
 // onViewChange reacts to a membership change: every cached key this
-// daemon now owns is re-replicated to the key's current successor set,
-// and keys whose bytes arrived from a peer (fetch or replica push) are
-// claimed — counted once as takeovers, the signature of inheriting a
-// dead owner's keys. Runs synchronously on the probe/handler goroutine;
-// pushes are bounded by the per-op timeout and the breaker.
+// daemon now owns is marked pending and the queue drained, so the key's
+// current successors get it, and keys whose bytes arrived from a peer
+// (fetch or replica push) are claimed — counted once as takeovers, the
+// signature of inheriting a dead owner's keys. Runs synchronously on the
+// probe/handler goroutine; pushes are bounded by the per-op timeout and
+// the breaker.
 func (s *Server) onViewChange() {
 	cl := s.cluster
 	if cl == nil {
@@ -331,20 +318,16 @@ func (s *Server) onViewChange() {
 		}
 	}
 	s.mu.Unlock()
+	cl.mu.Lock()
 	for _, ent := range owned {
-		if ent.origin != originLocal {
-			cl.mu.Lock()
-			first := !cl.claimed[ent.key]
-			if first {
-				cl.claimed[ent.key] = true
-			}
-			cl.mu.Unlock()
-			if first {
-				cl.takeovers.Add(1)
-			}
+		if ent.origin != originLocal && !cl.claimed[ent.key] {
+			cl.claimed[ent.key] = true
+			cl.takeovers.Add(1)
 		}
 		if cl.replicas > 0 {
-			s.pushReplicas(ent)
+			cl.pending[ent.key] = true
 		}
 	}
+	cl.mu.Unlock()
+	s.retryPendingReplicas()
 }

@@ -128,13 +128,13 @@ type Config struct {
 	// open before one probe request is admitted. Defaults 3 and 30s.
 	BreakerFailures int
 	BreakerCooldown time.Duration
-	// Cluster, when non-nil, makes this server one member of a static
-	// pilutd cluster: matrix fingerprints are routed across the peer
-	// list by rendezvous hashing, cache misses for keys another daemon
-	// owns are satisfied by fetching its factorization over the
-	// /v1/peer/ API (falling back to a local build when the peer is
-	// down), and new matrices are replicated to their owner. All peers
-	// must run identical Procs, Seed and Params.
+	// Cluster, when non-nil, makes this server one member of a pilutd
+	// cluster: each matrix fingerprint has 1+Replicas holders ranked by
+	// rendezvous hashing over the live view, a submit forwards the matrix
+	// to them, only the top-ranked holder (the owner) builds, and a cache
+	// miss elsewhere fetches the factorization from a holder over the
+	// /v1/peer/ API (falling back to a local build when every holder
+	// fails). All peers must run identical Procs, Seed and Params.
 	Cluster *ClusterConfig
 	// MaxRepairRate is the global pivot-repair rate above which a
 	// factorization is declared broken down (see core.Options). Default
@@ -277,7 +277,7 @@ type Server struct {
 	cache     *factorCache
 	symbolic  *symbolicCache
 	breaker   *breaker
-	cluster   *cluster // nil outside a cluster
+	cluster   *cluster              // nil outside a cluster
 	pending   map[string][]*request // per key, FIFO
 	scheduled map[string]bool       // key is queued or being run
 	keyq      []string
@@ -294,8 +294,8 @@ type Server struct {
 	probeStop     chan struct{}
 	stopProbeOnce sync.Once
 	probeWG       sync.WaitGroup
-	// Asynchronous replica pushes after local builds; drained by
-	// Shutdown after the workers (their only spawner) have exited.
+	// Asynchronous replica drains after owner builds; waited out by
+	// Shutdown after the workers have exited.
 	replWG sync.WaitGroup
 }
 
@@ -348,8 +348,18 @@ func New(cfg Config) *Server {
 // Submit registers a matrix and returns its content key. Submitting the
 // same matrix (by content, not by pointer) again returns the same key
 // with known = true and costs nothing. The matrix must be square with at
-// least Procs rows.
+// least Procs rows. In a cluster, a new matrix is also forwarded to every
+// other holder of its key (see placeMatrix).
 func (s *Server) Submit(a *sparse.CSR) (key string, known bool, err error) {
+	key, known, err = s.register(a)
+	if err == nil && !known {
+		s.placeMatrix(key, a)
+	}
+	return key, known, err
+}
+
+// register validates and stores a matrix on this daemon only.
+func (s *Server) register(a *sparse.CSR) (key string, known bool, err error) {
 	if a == nil {
 		return "", false, fmt.Errorf("service: nil matrix")
 	}
@@ -360,17 +370,11 @@ func (s *Server) Submit(a *sparse.CSR) (key string, known bool, err error) {
 		return "", false, fmt.Errorf("service: matrix has %d rows, need at least one per processor (%d)", a.N, s.cfg.Procs)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return "", false, ErrClosed
 	}
 	key, known = s.matrices.put(a)
-	s.mu.Unlock()
-	if !known {
-		// In a cluster, push new matrices to their owning daemon so
-		// ownership works in the submit-anywhere flow (no-op otherwise).
-		s.replicateMatrix(key, a)
-	}
 	return key, known, nil
 }
 
@@ -384,11 +388,22 @@ func (s *Server) Solve(ctx context.Context, key string, b []float64, opt SolveOp
 		ctx = context.Background()
 	}
 	s.mu.Lock()
+	a, ok := s.matrices.get(key)
+	if !ok && s.cluster != nil {
+		// A member that never saw the matrix asks the key's holders before
+		// answering ErrUnknownMatrix: the factor wire carries the matrix,
+		// and the import leaves both it and the factor here.
+		s.mu.Unlock()
+		if _, _, err := s.resolve(key, false); err != nil {
+			return SolveResult{}, err
+		}
+		s.mu.Lock()
+		a, ok = s.matrices.get(key)
+	}
 	if s.draining {
 		s.mu.Unlock()
 		return SolveResult{}, ErrClosed
 	}
-	a, ok := s.matrices.get(key)
 	if !ok {
 		s.mu.Unlock()
 		return SolveResult{}, fmt.Errorf("%w: %q", ErrUnknownMatrix, key)
@@ -625,44 +640,44 @@ func (s *Server) failBatch(batch []*request, err error) {
 	}
 }
 
-// entryFor returns the cached factorization for key. On a miss, a
-// cluster member first asks the key's owning daemon for its cached
-// factorization (bitwise identical rows, no recomputation); any peer
-// failure — or no cluster at all — falls through to a local build. The
-// expensive paths run without the server lock; per-key exclusive
-// dispatch guarantees no duplicate concurrent build.
-func (s *Server) entryFor(key string) (*entry, bool, error) {
+// resolve returns key's factorization and whether the cache already held
+// it. This is the one place that decides whether this daemon may build.
+// On a miss it walks key's holders (cluster.holders) in rank order: the
+// owner holding the matrix builds at once — a lone server owns every key
+// — and queues the factor for its successors; anyone else asks the other
+// holders (peerFetch). When every holder misses or fails and the matrix
+// is here, this daemon builds as a fallback that is never pushed. A peer
+// export (serve) answers only from the cache or an owner build and never
+// fetches, so no fetch cycle can form. The expensive paths run without
+// the server lock; per-key exclusive dispatch guarantees no duplicate
+// concurrent build among the workers.
+func (s *Server) resolve(key string, serve bool) (*entry, bool, error) {
+	lookup := s.cache.lookup
+	if serve {
+		lookup = s.cache.peek // peer serves leave the local counters alone
+	}
 	s.mu.Lock()
-	ent, ok := s.cache.lookup(key)
+	ent, hit := lookup(key)
+	a, held := s.matrices.get(key)
 	s.mu.Unlock()
-	if ok {
+	if hit {
 		return ent, true, nil
 	}
-	if ent, ok := s.peerFetch(key); ok {
-		s.mu.Lock()
-		s.cache.insert(ent)
-		s.mu.Unlock()
-		return ent, false, nil
-	}
-	return s.entryForLocal(key)
-}
-
-// entryForLocal resolves key strictly on this daemon: cache hit or
-// local build, never a peer fetch. The peer-serve path uses it so two
-// daemons with disagreeing peer lists cannot route a fetch in a cycle.
-func (s *Server) entryForLocal(key string) (*entry, bool, error) {
-	s.mu.Lock()
-	// Uncounted: the caller either already recorded the miss (entryFor)
-	// or is a peer serve, which must not perturb local cache counters.
-	ent, ok := s.cache.peek(key)
-	if ok {
-		s.mu.Unlock()
-		return ent, true, nil
-	}
-	a, ok := s.matrices.get(key)
-	s.mu.Unlock()
-	if !ok {
+	owner := s.cluster == nil || s.cluster.owner(key) == s.cluster.self
+	switch {
+	case owner && held: // the owner builds at once, asking no successor
+	case serve:
 		return nil, false, fmt.Errorf("%w: %q", ErrUnknownMatrix, key)
+	default:
+		if ent, ok := s.peerFetch(key); ok {
+			s.mu.Lock()
+			s.cache.insert(ent)
+			s.mu.Unlock()
+			return ent, false, nil
+		}
+		if !held {
+			return nil, false, fmt.Errorf("%w: %q", ErrUnknownMatrix, key)
+		}
 	}
 	ent, err := s.buildEntry(key, a)
 	if err != nil {
@@ -675,15 +690,8 @@ func (s *Server) entryForLocal(key string) (*entry, bool, error) {
 	// ones are visible in ClusterStats.PeerFetchHits instead.
 	s.cache.factorizations++
 	s.mu.Unlock()
-	// The owner protects a fresh factorization by pushing it to its HRW
-	// successors; off the request path so the build's caller never waits
-	// on peer round-trips.
 	if s.cluster != nil {
-		s.replWG.Add(1)
-		go func() {
-			defer s.replWG.Done()
-			s.maybeReplicate(ent)
-		}()
+		s.queueReplica(key, owner)
 	}
 	return ent, false, nil
 }
@@ -738,7 +746,7 @@ func (s *Server) runBatch(key string, batch []*request) {
 	if len(batch) == 0 {
 		return
 	}
-	ent, hit, err := s.entryFor(key)
+	ent, hit, err := s.resolve(key, false)
 	if err != nil {
 		s.recordOutcome(key, err)
 		s.failBatch(batch, err)

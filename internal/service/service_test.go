@@ -394,8 +394,20 @@ func TestRequestValidation(t *testing.T) {
 	if _, _, err := s.Submit(tiny); err == nil {
 		t.Fatal("matrix smaller than the processor count accepted")
 	}
-	if _, err := s.Solve(context.Background(), "deadbeef", []float64{1}, SolveOptions{}); !errors.Is(err, ErrUnknownMatrix) {
-		t.Fatalf("unknown key: err = %v, want ErrUnknownMatrix", err)
+	// Cluster members ask the key's holders first; when none knows the
+	// key the answer is still ErrUnknownMatrix (HTTP 404).
+	pair, _, shutdown := memberCluster(t, 2, 1)
+	defer shutdown()
+	for i, srv := range []*Server{s, pair[0], pair[1]} {
+		if _, err := srv.Solve(context.Background(), "deadbeef", []float64{1}, SolveOptions{}); !errors.Is(err, ErrUnknownMatrix) {
+			t.Fatalf("server %d: unknown key: err = %v, want ErrUnknownMatrix", i, err)
+		}
+	}
+	for i, srv := range pair {
+		if st := srv.cluster.snapshot(); st.PeerFetchMisses != 1 || st.PeerFetchFailures != 0 {
+			t.Errorf("member %d: fetch misses %d, failures %d; want the walk to ask its peer once and see a clean miss",
+				i, st.PeerFetchMisses, st.PeerFetchFailures)
+		}
 	}
 	a := matgen.Grid2D(8, 8)
 	key, _, _ := s.Submit(a)
