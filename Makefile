@@ -1,7 +1,14 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json test test-real test-netcomm race race-real chaos test-takeover check serve-smoke bench-service bench-backend bench-netcomm bench-speedup bench-sequence bench-cluster fuzz-smoke cover
+# `make bench` parameters: workload, seed, timed seconds, trace (0 = end
+# to end metrics, 1 = per-layer metrics).
+W ?= torso-cold
+SEED ?= 1
+S ?= 20
+T ?= 0
+
+.PHONY: all build vet lint lint-json test test-real test-netcomm race race-real chaos test-takeover check serve-smoke bench bench-service bench-backend bench-netcomm bench-speedup bench-sequence bench-cluster fuzz-smoke cover
 
 all: check
 
@@ -81,6 +88,12 @@ test-takeover:
 # solve hits the factorization cache), and shuts it down gracefully.
 serve-smoke:
 	$(GO) test ./cmd/pilutd -run TestEndToEnd -count=1 -v
+
+# The repository benchmark (BENCHMARK.json, _perfbench/README.md): one
+# workload for S seconds, e.g. `make bench W=serve-hot SEED=3 T=1`. The
+# last output line is the JSON result; files land in .bench_build/results/.
+bench:
+	python3 _perfbench/run.py --workload $(W) --seed $(SEED) --seconds $(S) --trace $(T)
 
 # Cold-factor vs cache-hit solve latency; writes BENCH_service.json.
 bench-service:

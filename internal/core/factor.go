@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ilu"
 	"repro/internal/mis"
@@ -161,10 +160,6 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 	pc.Stats.NInterface = plan.NInterface
 	pc.Stats.NInterior = plan.NIntLocal[me]
 
-	localIdx := make(map[int]int, nLocal)
-	for li, g := range pc.owned {
-		localIdx[g] = li
-	}
 	// enc maps a global column to the combined index space.
 	enc := func(j int) int {
 		if nid := plan.NewOfInterior[j]; nid >= 0 {
@@ -215,11 +210,10 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 	}
 	encCols := make([]int, 0, 64)
 	encVals := make([]float64, 0, 64)
-	for _, g := range pc.owned {
+	for li, g := range pc.owned {
 		if !plan.Interior[g] {
 			continue
 		}
-		li := localIdx[g]
 		myNew := plan.NewOfInterior[g]
 		pc.newOf[li] = myNew
 		pc.interiorLocal = append(pc.interiorLocal, li)
@@ -266,11 +260,10 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 	// ---- Phase 1b: eliminate interior unknowns from interface rows -----
 	reduced := make([]redRow, nLocal)
 	var remaining []int // local indices of unfactored interface rows
-	for _, g := range pc.owned {
+	for li, g := range pc.owned {
 		if plan.Interior[g] {
 			continue
 		}
-		li := localIdx[g]
 		tau := par.Tau * plan.RowTau[g]
 		cols, vals := plan.A.Row(g)
 		encCols = encCols[:0]
@@ -306,18 +299,29 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 	uFSet := make([]bool, nLocal)
 	// Per-level structures, allocated once and recycled each level: the
 	// adjacency of the reduced matrix as one flat buffer plus offsets, the
-	// id-translation buffer, and the two pivot maps (cleared, not remade —
-	// their buckets are reused, so steady-state inserts don't allocate).
+	// id-translation buffer, the independent-set workspace, and two dense
+	// global-id tables in place of maps — reset sparsely at the end of
+	// each level, so a level costs what it touches, not O(n).
+	//
+	//   - levelNew[g] is the new id of pivot g this level (−1 otherwise)
+	//     for the pivots this processor can see: its own plus every
+	//     pushed row; levelOrig lists the g set, for the reset.
+	//   - pivotAt[k] is the U row of the level's pivot with new id k.
 	var (
-		ownedIDs []int
-		adj      [][]int
-		adjFlat  []int
-		adjOff   []int
-		tBuf     []int
+		ownedIDs  []int
+		adj       [][]int
+		adjFlat   []int
+		adjOff    []int
+		tBuf      []int
+		levelOrig []int
 	)
-	levelNew := make(map[int]int)
-	pivotByNew := make(map[int]*ilu.URow)
-	pivotGet := func(k int) *ilu.URow { return pivotByNew[k] }
+	misWS := mis.NewWorkspace(n)
+	levelNew := make([]int, n)
+	for g := range levelNew {
+		levelNew[g] = -1
+	}
+	pivotAt := make([]*ilu.URow, n)
+	pivotGet := func(k int) *ilu.URow { return pivotAt[k] }
 
 	for {
 		charge()
@@ -359,7 +363,7 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 		for k := range remaining {
 			adj = append(adj, adjFlat[adjOff[k]:adjOff[k+1]:adjOff[k+1]])
 		}
-		sel, ex := mis.DistributedPlan(p, ownedIDs, adj, nil, ownerOf,
+		sel, ex := misWS.DistributedPlan(p, ownedIDs, adj, nil, ownerOf,
 			opt.MISRounds, opt.Seed+int64(len(pc.levels))*7919)
 		if ex.GlobalActive == 0 {
 			break
@@ -386,11 +390,9 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 		pc.levels = append(pc.levels, LevelInfo{Start: nl, Size: levelSize})
 
 		// Factor my pivots: only their U rows are created (independent
-		// rows need no elimination), 2nd dropping rule applied.
-		// levelNew maps original id → new id for the pivots this
-		// processor can see (its own plus every pushed row).
-		clear(levelNew)
-		clear(pivotByNew)
+		// rows need no elimination), 2nd dropping rule applied. Members
+		// are appended in rank order, so they are already ascending by
+		// new id.
 		var members []int
 		rank := 0
 		for k, li := range remaining {
@@ -409,14 +411,14 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 			uF[li] = urow
 			uFSet[li] = true
 			levelNew[g] = urow.Col
-			pivotByNew[urow.Col] = &uF[li]
+			levelOrig = append(levelOrig, g)
+			pivotAt[urow.Col] = &uF[li]
 			pc.newOf[li] = urow.Col
 			pc.uCols[li], pc.uVals[li] = urow.Cols, urow.Vals
 			pc.uDiag[li] = urow.Diag
 			reduced[li] = redRow{}
 			members = append(members, li)
 		}
-		sort.Slice(members, func(a, b int) bool { return pc.newOf[members[a]] < pc.newOf[members[b]] })
 		pc.levelMembers = append(pc.levelMembers, members)
 
 		// Push pivot rows along the MIS exchange plan: the processors
@@ -443,7 +445,8 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 			rows := p.Recv(q, tagPivotRows).([]ilu.URow)
 			for k := range rows {
 				levelNew[rows[k].Orig] = rows[k].Col
-				pivotByNew[rows[k].Col] = &rows[k]
+				levelOrig = append(levelOrig, rows[k].Orig)
+				pivotAt[rows[k].Col] = &rows[k]
 			}
 		}
 
@@ -464,8 +467,8 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 			tC := append(tBuf[:0], rc...)
 			tBuf = tC
 			for idx, c := range rc {
-				if nid, ok := levelNew[c-n]; ok {
-					tC[idx] = nid
+				if c >= n && levelNew[c-n] >= 0 {
+					tC[idx] = levelNew[c-n]
 				}
 			}
 			sortPair(tC, rv)
@@ -478,6 +481,11 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 			next = append(next, li)
 		}
 		remaining = next
+		for _, g := range levelOrig {
+			levelNew[g] = -1
+		}
+		levelOrig = levelOrig[:0]
+		clear(pivotAt[nl:nl1])
 		nl = nl1
 
 		charge()
@@ -511,7 +519,9 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 		}
 	}
 	allPairs := pcomm.AllGatherInts(p, pairs)
-	newOfIface := make(map[int]int, plan.NInterface)
+	// The level tables are clean again; levelNew takes every interface
+	// row's final new id.
+	newOfIface := levelNew
 	for _, pp := range allPairs {
 		for i := 0; i < len(pp); i += 2 {
 			newOfIface[pp[i]] = pp[i+1]
@@ -520,8 +530,8 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 	for li := range pc.uCols {
 		for k, c := range pc.uCols[li] {
 			if c >= n {
-				nid, ok := newOfIface[c-n]
-				if !ok {
+				nid := newOfIface[c-n]
+				if nid < 0 {
 					panic("core: unfactored column survived the factorization")
 				}
 				pc.uCols[li][k] = nid

@@ -41,10 +41,6 @@ func FactorILU0(p pcomm.Comm, plan *Plan, misRounds int, seed int64) *ProcPrecon
 	pc.Stats.NInterface = plan.NInterface
 	pc.Stats.NInterior = plan.NIntLocal[me]
 
-	localIdx := make(map[int]int, nLocal)
-	for li, g := range pc.owned {
-		localIdx[g] = li
-	}
 	enc := func(j int) int {
 		if nid := plan.NewOfInterior[j]; nid >= 0 {
 			return nid
@@ -80,11 +76,10 @@ func FactorILU0(p pcomm.Comm, plan *Plan, misRounds int, seed int64) *ProcPrecon
 		encCols, encVals = ec, ev
 		return ec, ev
 	}
-	for _, g := range pc.owned {
+	for li, g := range pc.owned {
 		if !plan.Interior[g] {
 			continue
 		}
-		li := localIdx[g]
 		myNew := plan.NewOfInterior[g]
 		pc.newOf[li] = myNew
 		pc.interiorLocal = append(pc.interiorLocal, li)
@@ -103,11 +98,10 @@ func FactorILU0(p pcomm.Comm, plan *Plan, misRounds int, seed int64) *ProcPrecon
 	}
 	reduced := make([]redRow, nLocal)
 	var ifaceLocal []int
-	for _, g := range pc.owned {
+	for li, g := range pc.owned {
 		if plan.Interior[g] {
 			continue
 		}
-		li := localIdx[g]
 		ec, ev := encRow(g)
 		lC, lV, rC, rV := s.EliminateRowStatic(n+g, ec, ev, nil, nil,
 			pivotLookup, intBase, intBase+nInt, st)
@@ -156,8 +150,9 @@ func FactorILU0(p pcomm.Comm, plan *Plan, misRounds int, seed int64) *ProcPrecon
 	}
 	var schedule []levelPlan
 	nl := plan.TotInterior
+	misWS := mis.NewWorkspace(n)
 	for {
-		sel, ex := mis.DistributedPlan(p, ownedIDs, adj, active, ownerOf,
+		sel, ex := misWS.DistributedPlan(p, ownedIDs, adj, active, ownerOf,
 			misRounds, seed+int64(len(schedule))*7919)
 		if ex.GlobalActive == 0 {
 			break

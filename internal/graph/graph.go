@@ -24,36 +24,63 @@ type Graph struct {
 // FromMatrix builds the adjacency graph of a square sparse matrix: an edge
 // {i, j} exists when a_ij or a_ji is stored (i ≠ j). All vertex and edge
 // weights are 1. This is the graph the paper partitions.
+//
+// Vertex i's neighbours are the sorted union of row i of A and row i of
+// Aᵀ (column i of A) without i itself. Both inputs are already sorted —
+// CSR rows by invariant, the transposed pattern because it is filled in
+// increasing row order — so one linear merge per row builds the graph,
+// with no triplet assembly and no per-row sort.
 func FromMatrix(a *sparse.CSR) *Graph {
 	if a.N != a.M {
 		panic("graph: FromMatrix requires a square matrix")
 	}
-	s := a.SymmetrizeStructure()
-	g := &Graph{NVtx: s.N, Xadj: make([]int, s.N+1)}
-	for i := 0; i < s.N; i++ {
-		cols, _ := s.Row(i)
-		deg := 0
-		for _, j := range cols {
-			if j != i {
-				deg++
-			}
-		}
-		g.Xadj[i+1] = g.Xadj[i] + deg
+	n := a.N
+	// Pattern of Aᵀ: tIdx[tPtr[j]:tPtr[j+1]] lists the rows storing
+	// column j, increasing.
+	tPtr := make([]int, n+1)
+	for _, j := range a.Cols {
+		tPtr[j+1]++
 	}
-	g.Adj = make([]int, g.Xadj[s.N])
-	g.AdjWgt = make([]int, g.Xadj[s.N])
-	g.VWgt = make([]int, s.N)
-	for i := 0; i < s.N; i++ {
+	for j := 0; j < n; j++ {
+		tPtr[j+1] += tPtr[j]
+	}
+	tIdx := make([]int, len(a.Cols))
+	next := make([]int, n)
+	copy(next, tPtr[:n])
+	for i := 0; i < n; i++ {
+		for _, j := range a.Cols[a.RowPtr[i]:a.RowPtr[i+1]] {
+			tIdx[next[j]] = i
+			next[j]++
+		}
+	}
+
+	g := &Graph{NVtx: n, Xadj: make([]int, n+1), VWgt: make([]int, n)}
+	adj := make([]int, 0, 2*len(a.Cols))
+	for i := 0; i < n; i++ {
 		g.VWgt[i] = 1
-		p := g.Xadj[i]
-		cols, _ := s.Row(i)
-		for _, j := range cols {
-			if j != i {
-				g.Adj[p] = j
-				g.AdjWgt[p] = 1
-				p++
+		r := a.Cols[a.RowPtr[i]:a.RowPtr[i+1]]
+		c := tIdx[tPtr[i]:tPtr[i+1]]
+		start := len(adj)
+		for len(r) > 0 || len(c) > 0 {
+			var j int
+			switch {
+			case len(c) == 0 || (len(r) > 0 && r[0] < c[0]):
+				j, r = r[0], r[1:]
+			case len(r) == 0 || c[0] < r[0]:
+				j, c = c[0], c[1:]
+			default: // stored both ways
+				j, r, c = r[0], r[1:], c[1:]
+			}
+			if j != i && (len(adj) == start || adj[len(adj)-1] != j) {
+				adj = append(adj, j)
 			}
 		}
+		g.Xadj[i+1] = len(adj)
+	}
+	g.Adj = adj
+	g.AdjWgt = make([]int, len(adj))
+	for k := range g.AdjWgt {
+		g.AdjWgt[k] = 1
 	}
 	return g
 }

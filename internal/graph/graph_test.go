@@ -190,3 +190,67 @@ func max(a, b int) int {
 	}
 	return b
 }
+
+// symmetrizedGraph is the triplet-assembly construction FromMatrix
+// replaced: the pattern of A + Aᵀ through SymmetrizeStructure, diagonal
+// removed. It is the oracle for the merge-built graph.
+func symmetrizedGraph(a *sparse.CSR) *Graph {
+	s := a.SymmetrizeStructure()
+	g := &Graph{NVtx: s.N, Xadj: make([]int, s.N+1), VWgt: make([]int, s.N)}
+	for i := 0; i < s.N; i++ {
+		g.VWgt[i] = 1
+		cols, _ := s.Row(i)
+		for _, j := range cols {
+			if j != i {
+				g.Adj = append(g.Adj, j)
+				g.AdjWgt = append(g.AdjWgt, 1)
+			}
+		}
+		g.Xadj[i+1] = len(g.Adj)
+	}
+	return g
+}
+
+// TestFromMatrixMatchesSymmetrizedPattern compares the merge-built graph
+// with the symmetrized-pattern oracle on random structurally
+// nonsymmetric matrices, with and without stored diagonals and with
+// empty rows, plus the generators' matrices.
+func TestFromMatrixMatchesSymmetrizedPattern(t *testing.T) {
+	same := func(x, y *Graph) bool {
+		eq := func(a, b []int) bool {
+			if len(a) != len(b) {
+				return false
+			}
+			for k := range a {
+				if a[k] != b[k] {
+					return false
+				}
+			}
+			return true
+		}
+		return x.NVtx == y.NVtx && eq(x.Xadj, y.Xadj) && eq(x.Adj, y.Adj) &&
+			eq(x.AdjWgt, y.AdjWgt) && eq(x.VWgt, y.VWgt)
+	}
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(30)
+		b := sparse.NewBuilder(n, n)
+		density := r.Float64() * 0.3
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if r.Float64() < density {
+					b.Add(i, j, 1+r.Float64())
+				}
+			}
+		}
+		a := b.Build()
+		if g, want := FromMatrix(a), symmetrizedGraph(a); !same(g, want) {
+			t.Fatalf("trial %d (n=%d): merge-built graph differs from the symmetrized pattern", trial, n)
+		}
+	}
+	for _, a := range []*sparse.CSR{matgen.Grid2D(7, 5), matgen.Torso(5, 4, 3, 2), matgen.ConvDiff2D(6, 6, 3, -2)} {
+		if !same(FromMatrix(a), symmetrizedGraph(a)) {
+			t.Fatalf("generator matrix n=%d: merge-built graph differs", a.N)
+		}
+	}
+}

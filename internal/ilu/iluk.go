@@ -1,7 +1,6 @@
 package ilu
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -76,9 +75,9 @@ func symbolicILUK(a *sparse.CSR, maxLev int) (*sparse.CSR, error) {
 			levRow[i] = 0
 			touched = append(touched, i)
 		}
-		heap.Init(&h)
-		for h.Len() > 0 {
-			k := heap.Pop(&h).(int)
+		heapInit(&h)
+		for len(h) > 0 {
+			k := heapPop(&h)
 			lik := levRow[k]
 			if lik < 0 || lik > maxLev {
 				continue
@@ -92,7 +91,7 @@ func symbolicILUK(a *sparse.CSR, maxLev int) (*sparse.CSR, error) {
 					levRow[j] = nl
 					touched = append(touched, j)
 					if j < i {
-						heap.Push(&h, j)
+						heapPush(&h, j)
 					}
 				} else if nl < levRow[j] {
 					levRow[j] = nl
@@ -169,9 +168,9 @@ func factorOnPattern(a *sparse.CSR, pattern *sparse.CSR) (*Factors, Stats, error
 				h = append(h, j)
 			}
 		}
-		heap.Init(&h)
-		for h.Len() > 0 {
-			k := heap.Pop(&h).(int)
+		heapInit(&h)
+		for len(h) > 0 {
+			k := heapPop(&h)
 			piv := uVals[k][0]
 			wk := w.Get(k) / piv
 			st.Flops++

@@ -1,7 +1,6 @@
 package ilu
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -96,10 +95,15 @@ func ILUT(a *sparse.CSR, p Params) (*Factors, Stats, error) {
 
 	var st Stats
 	w := sparse.NewWorkRow(n)
-	lCols := make([][]int, n)
-	lVals := make([][]float64, n)
-	uCols := make([][]int, n)
-	uVals := make([][]float64, n)
+	var sp sparse.RowSplit
+	// L and U are assembled in CSR form as their rows finish. A U row
+	// stores its diagonal first, for O(1) pivot access; in an upper
+	// triangular row the diagonal is also the smallest column, so U's
+	// rows come out sorted.
+	l := &sparse.CSR{N: n, M: n, RowPtr: make([]int, n+1),
+		Cols: make([]int, 0, a.NNZ()), Vals: make([]float64, 0, a.NNZ())}
+	u := &sparse.CSR{N: n, M: n, RowPtr: make([]int, n+1),
+		Cols: make([]int, 0, a.NNZ()), Vals: make([]float64, 0, a.NNZ())}
 	var lheap colHeap
 
 	for i := 0; i < n; i++ {
@@ -116,16 +120,16 @@ func ILUT(a *sparse.CSR, p Params) (*Factors, Stats, error) {
 				lheap = append(lheap, j)
 			}
 		}
-		heap.Init(&lheap)
+		heapInit(&lheap)
 
 		// Elimination sweep: process k < i in increasing order, including
 		// fill positions created along the way.
-		for lheap.Len() > 0 {
-			k := heap.Pop(&lheap).(int)
+		for len(lheap) > 0 {
+			k := heapPop(&lheap)
 			if !w.Has(k) {
 				continue // dropped earlier in this sweep
 			}
-			piv := uVals[k][0] // diagonal of U stored first in row k
+			piv := u.Vals[u.RowPtr[k]] // diagonal of U stored first in row k
 			wk := w.Get(k) / piv
 			st.Flops++
 			if math.Abs(wk) < tau {
@@ -137,32 +141,34 @@ func ILUT(a *sparse.CSR, p Params) (*Factors, Stats, error) {
 			}
 			w.Set(k, wk)
 			// w ← w − wk·u_k over the strictly-upper part of U's row k.
-			ukc := uCols[k]
-			ukv := uVals[k]
-			for idx := 1; idx < len(ukc); idx++ {
-				j := ukc[idx]
+			for idx := u.RowPtr[k] + 1; idx < u.RowPtr[k+1]; idx++ {
+				j := u.Cols[idx]
 				if !w.Has(j) && j < i {
-					heap.Push(&lheap, j)
+					heapPush(&lheap, j)
 				}
-				w.Add(j, -wk*ukv[idx])
+				w.Add(j, -wk*u.Vals[idx])
 				st.Flops += 2
 			}
 		}
 
 		// 2nd dropping rule: relative threshold then keep the m largest in
-		// each of the L and U parts (diagonal always kept).
-		d2 := w.DropBelow(0, n, tau, i)
-		d2 += w.KeepLargest(0, i, m, -1)
-		d2 += w.KeepLargest(i, n, m, i)
+		// each of the L and U parts (diagonal always kept). One pass over
+		// the row splits it at the diagonal and resets it; the caps are
+		// selections over the compact parts.
+		w.Drain(i, i, tau, &sp)
+		lo, dl := sparse.CapSorted(sp.Lo, m)
+		hi, du := sparse.CapSorted(sp.Hi, m)
+		d2 := sp.DroppedLo + sp.DroppedHi + dl + du
 		st.Dropped += d2
 		st.DroppedRule2 += d2
 
-		lCols[i], lVals[i] = w.Gather(0, i, nil, nil)
-		var uc []int
-		var uv []float64
-		// Store the diagonal first for O(1) pivot access; the remaining
-		// upper entries follow in increasing column order.
-		d := w.Get(i)
+		for _, e := range lo {
+			l.Cols = append(l.Cols, e.Col)
+			l.Vals = append(l.Vals, e.Val)
+		}
+		l.RowPtr[i+1] = len(l.Cols)
+
+		d := sp.Keep
 		if p.PivotPerturb != 0 {
 			d *= p.PivotPerturb
 		}
@@ -174,43 +180,22 @@ func ILUT(a *sparse.CSR, p Params) (*Factors, Stats, error) {
 			}
 			st.FixedPivot++
 		}
-		uc = append(uc, i)
-		uv = append(uv, d)
-		w.Drop(i)
-		uc, uv = w.Gather(i, n, uc, uv)
-		uCols[i], uVals[i] = uc, uv
-
-		w.Reset()
+		u.Cols = append(u.Cols, i)
+		u.Vals = append(u.Vals, d)
+		for _, e := range hi {
+			u.Cols = append(u.Cols, e.Col)
+			u.Vals = append(u.Vals, e.Val)
+		}
+		u.RowPtr[i+1] = len(u.Cols)
 	}
-	f := &Factors{
-		L: sparse.FromRows(n, n, lCols, lVals),
-		U: fromURows(n, uCols, uVals),
-	}
-	return f, st, nil
+	return &Factors{L: l, U: u}, st, nil
 }
 
-// fromURows builds the U factor from rows stored diagonal-first.
-func fromURows(n int, cols [][]int, vals [][]float64) *sparse.CSR {
-	// The diagonal-first convention means rows are sorted except that the
-	// leading diagonal element is already the smallest column in an upper
-	// triangular row, so rows are in fact fully sorted.
-	return sparse.FromRows(n, n, cols, vals)
-}
-
-// colHeap is a min-heap of column indices driving the elimination order.
+// colHeap is a min-heap of column indices driving the elimination order
+// (see heapInit, heapPush and heapPop).
 type colHeap []int
 
-func (h colHeap) Len() int            { return len(h) }
-func (h colHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h colHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *colHeap) Push(x interface{}) { *h = append(*h, x.(int)) }
-func (h *colHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
+func (h colHeap) Len() int { return len(h) }
 
 // CompleteLU computes the exact LU factorization by running ILUT with no
 // dropping; small systems only (tests and examples).

@@ -1,7 +1,6 @@
 package ilu
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -77,9 +76,9 @@ func ILUTP(a *sparse.CSR, p Params, permTol float64) (*ILUTPResult, error) {
 				h = append(h, pos[j])
 			}
 		}
-		heap.Init(&h)
-		for h.Len() > 0 {
-			k := heap.Pop(&h).(int)
+		heapInit(&h)
+		for len(h) > 0 {
+			k := heapPop(&h)
 			jc := colAt[k] // original column sitting at pivot position k
 			if !w.Has(jc) {
 				continue
@@ -98,7 +97,7 @@ func ILUTP(a *sparse.CSR, p Params, permTol float64) (*ILUTPResult, error) {
 			for idx := 1; idx < len(ukc); idx++ {
 				j := ukc[idx]
 				if !w.Has(j) && pos[j] < i {
-					heap.Push(&h, pos[j])
+					heapPush(&h, pos[j])
 				}
 				w.Add(j, -wk*ukv[idx])
 				st.Flops += 2

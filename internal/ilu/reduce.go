@@ -64,8 +64,9 @@ func FactorPivotRowPerturbed(i int, cols []int, vals []float64, tau float64, m i
 
 // FactorPivotRow is the zero-alloc kernel behind the free function of the
 // same name: the surviving-entry buffer is the scratch's reusable
-// selection buffer, selection and ordering run on closure-free insertion
-// sorts, and the U row's storage is carved from the output arena.
+// selection buffer, the m-cap is a selection (sparse.CapSorted) and only
+// the survivors are sorted by column, and the U row's storage is carved
+// from the output arena.
 //
 //pilut:hotpath
 func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64, m int, perturb float64, st *Stats) (URow, error) {
@@ -83,7 +84,7 @@ func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64,
 			st.DroppedRule2++
 			continue
 		}
-		keep = append(keep, pivEnt{j, vals[k]}) //pilutlint:ok hotalloc selection buffer grows to peak row nnz once, then is reused across rows
+		keep = append(keep, sparse.Entry{Col: j, Val: vals[k]}) //pilutlint:ok hotalloc selection buffer grows to peak row nnz once, then is reused across rows
 	}
 	s.ents = keep
 	if !found {
@@ -100,29 +101,14 @@ func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64,
 		}
 		st.FixedPivot++
 	}
-	if m > 0 && len(keep) > m {
-		sortEntsByMag(keep)
-		st.Dropped += len(keep) - m
-		st.DroppedRule2 += len(keep) - m
-		keep = keep[:m]
-		s.ents = keep
-	}
-	sortEntsByCol(keep)
+	keep, d := sparse.CapSorted(keep, m)
+	st.Dropped += d
+	st.DroppedRule2 += d
 	if len(keep) == 0 {
 		r.Cols, r.Vals = emptyRowCols, emptyRowVals
 		return r, nil
 	}
-	if s.fresh {
-		r.Cols = make([]int, len(keep))     //pilutlint:ok hotalloc legacy exact-fit mode used by the free-function wrapper only
-		r.Vals = make([]float64, len(keep)) //pilutlint:ok hotalloc legacy exact-fit mode used by the free-function wrapper only
-	} else {
-		r.Cols = s.out.carveInts(len(keep))
-		r.Vals = s.out.carveFloats(len(keep))
-	}
-	for k, e := range keep {
-		r.Cols[k] = e.col
-		r.Vals[k] = e.val
-	}
+	r.Cols, r.Vals = s.takeRow(keep)
 	return r, nil
 }
 
@@ -260,7 +246,7 @@ func (s *Scratch) EliminateRowSeq(
 		}
 	}
 	heapInit(&h)
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		k := heapPop(&h)
 		if !w.Has(k) {
 			continue
@@ -290,39 +276,52 @@ func (s *Scratch) EliminateRowSeq(
 	return s.finishRow(i, nl1, tau, m, kcap, st)
 }
 
-// finishRow is the shared tail of EliminateRow and EliminateRowSeq: the
-// 3rd dropping rule — threshold-and-cap the factored part; threshold
-// (and, for ILUT*, cap at kcap·m) the reduced part, always preserving
-// the reduced diagonal — then the L/reduced gather, the working-row
-// reset, and the carve (or exact-fit copy) of the four result slices.
+// finishRow is the shared tail of EliminateRow and EliminateRowSeq: one
+// pass over the working row (sparse.WorkRow.Drain) applies the relative
+// threshold, splits the survivors into the factored part (columns < nl1)
+// and the reduced part (columns ≥ nl1, the reduced diagonal i protected)
+// and resets the row. Then each part is capped by selection — m for the
+// factored part (2nd rule), kcap·m for the reduced part under ILUT* (3rd
+// rule) — and only the survivors are sorted by column and carved (or
+// copied exact-fit) into the result. Requires i ≥ nl1: the diagonal
+// always lands in the reduced part.
 //
 //pilut:hotpath
 func (s *Scratch) finishRow(i, nl1 int, tau float64, m, kcap int, st *Stats) (newLCols []int, newLVals []float64, redCols []int, redVals []float64) {
-	w := s.w
-	n := w.Len()
-	d2 := w.DropBelow(0, nl1, tau, -1)
-	if m > 0 {
-		d2 += w.KeepLargest(0, nl1, m, -1)
-	}
-	d3 := w.DropBelow(nl1, n, tau, i)
+	sp := &s.sp
+	s.w.Drain(nl1, i, tau, sp)
+	rcap := 0
 	if kcap > 0 && m > 0 {
-		d3 += w.KeepLargest(nl1, n, kcap*m, i)
+		rcap = kcap * m
 	}
+	lo, d2 := sparse.CapSorted(sp.Lo, m)
+	hi, d3 := sparse.CapSorted(sp.Hi, rcap)
+	d2 += sp.DroppedLo
+	d3 += sp.DroppedHi
 	st.Dropped += d2 + d3
 	st.DroppedRule2 += d2
 	st.DroppedRule3 += d3
-	if !w.Has(i) {
+	diag := sp.Keep
+	if !sp.HasKeep {
 		// The reduced diagonal must exist for the row to be factorable
 		// later; recreate it at the pivot floor if elimination cancelled
 		// it exactly.
-		w.Set(i, pivotFloor(tau))
+		diag = pivotFloor(tau)
 		st.FixedPivot++
 	}
 
-	s.lc, s.lv = w.Gather(0, nl1, s.lc[:0], s.lv[:0])
-	s.rc, s.rv = w.Gather(nl1, n, s.rc[:0], s.rv[:0])
-	w.Reset()
-	return s.takeInts(s.lc), s.takeFloats(s.lv), s.takeInts(s.rc), s.takeFloats(s.rv)
+	newLCols, newLVals = s.takeRow(lo)
+	// The reduced row is hi with the diagonal merged in at its column.
+	redCols, redVals = s.carve(len(hi) + 1)
+	k := 0
+	for ; k < len(hi) && hi[k].Col < i; k++ {
+		redCols[k], redVals[k] = hi[k].Col, hi[k].Val
+	}
+	redCols[k], redVals[k] = i, diag
+	for ; k < len(hi); k++ {
+		redCols[k+1], redVals[k+1] = hi[k].Col, hi[k].Val
+	}
+	return newLCols, newLVals, redCols, redVals
 }
 
 // EliminateRowStatic is the zero-fill (ILU(0)) counterpart of
@@ -358,7 +357,6 @@ func (s *Scratch) EliminateRowStatic(
 	st *Stats,
 ) (newLCols []int, newLVals []float64, redCols []int, redVals []float64) {
 	w := s.w
-	n := w.Len()
 	w.Scatter(aCols, aVals)
 	for _, k := range aCols {
 		if k < nl || k >= nl1 || !w.Has(k) {
@@ -379,10 +377,14 @@ func (s *Scratch) EliminateRowStatic(
 		}
 	}
 	w.Scatter(lCols, lVals)
-	s.lc, s.lv = w.Gather(0, nl1, s.lc[:0], s.lv[:0])
-	s.rc, s.rv = w.Gather(nl1, n, s.rc[:0], s.rv[:0])
-	w.Reset()
-	return s.takeInts(s.lc), s.takeFloats(s.lv), s.takeInts(s.rc), s.takeFloats(s.rv)
+	// A zero threshold and no protected position: Drain only splits and
+	// resets (|v| < 0 never holds), so every entry of the pattern stays.
+	w.Drain(nl1, -1, 0, &s.sp)
+	sparse.SortByCol(s.sp.Lo)
+	sparse.SortByCol(s.sp.Hi)
+	newLCols, newLVals = s.takeRow(s.sp.Lo)
+	redCols, redVals = s.takeRow(s.sp.Hi)
+	return newLCols, newLVals, redCols, redVals
 }
 
 // FactorPivotRowStatic builds a pivot's U row keeping the full static
@@ -391,12 +393,13 @@ func FactorPivotRowStatic(i int, cols []int, vals []float64, st *Stats) (URow, e
 	return FactorPivotRow(i, cols, vals, 0, 0, st)
 }
 
-// Small heap helpers shared with the ILUT driver (container/heap without
-// the interface boilerplate for the hot path).
+// Small heap helpers shared with the ILUT, ILUTP and ILU(k) drivers: a
+// binary min-heap on a plain []int, so pushes and pops box nothing
+// (container/heap's interface{} round trip costs an allocation per push).
 //
 //pilut:hotpath
 func heapInit(h *colHeap) {
-	n := h.Len()
+	n := len(*h)
 	for i := n/2 - 1; i >= 0; i-- {
 		heapDown(*h, i, n)
 	}

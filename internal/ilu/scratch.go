@@ -9,12 +9,12 @@ import (
 // Scratch bundles every piece of reusable working memory the row kernels
 // need, so the steady-state factorization loop allocates zero bytes per
 // row: the dense working row of Algorithm 1, the fill-selection heap of
-// the sequential kernel, gather staging buffers, the pivot-row selection
+// the sequential kernel, the row-split buffers, the pivot-row selection
 // buffer, and an output arena the factored rows are carved from.
 //
 // Ownership rules (DESIGN.md §13):
 //
-//   - The volatile parts (working row, heap, staging buffers) hold no
+//   - The volatile parts (working row, heap, split buffers) hold no
 //     live data between kernel calls and may be reused across
 //     factorizations — core pools them per processor.
 //   - The output arena (out) owns the memory of every row a kernel
@@ -31,26 +31,18 @@ type Scratch struct {
 	w *sparse.WorkRow
 	h colHeap // fill-selection heap of EliminateRowSeq
 
-	// gather staging: factored part (lc/lv) and reduced part (rc/rv) of
-	// the current row, reused across rows.
-	lc []int
-	lv []float64
-	rc []int
-	rv []float64
+	// sp receives the working row's survivors at the end of each row:
+	// the factored part (sp.Lo) and the reduced part (sp.Hi), reused
+	// across rows.
+	sp sparse.RowSplit
 
 	// pivot-row selection buffer of FactorPivotRow.
-	ents []pivEnt
+	ents []sparse.Entry
 
 	// out is the output arena; fresh selects exact-fit allocations
 	// instead (the legacy wrapper mode).
 	out   slab
 	fresh bool
-}
-
-// pivEnt is one surviving off-diagonal entry of a pivot row.
-type pivEnt struct {
-	col int
-	val float64
 }
 
 // NewScratch returns a Scratch whose working row covers n positions.
@@ -79,14 +71,13 @@ func (s *Scratch) DetachOutputs() { s.out = slab{} }
 func (s *Scratch) Sanitize() {
 	s.w.Reset()
 	s.h = s.h[:0]
-	s.lc, s.lv = s.lc[:0], s.lv[:0]
-	s.rc, s.rv = s.rc[:0], s.rv[:0]
+	s.sp.Lo, s.sp.Hi = s.sp.Lo[:0], s.sp.Hi[:0]
 	s.ents = s.ents[:0]
 }
 
 // Poison verifies the volatile state is clean and then overwrites every
 // byte a correct kernel may not read — spare capacities of the heap,
-// staging buffers, selection buffer, and the unused tail of the output
+// split buffers, selection buffer, and the unused tail of the output
 // arena — with NaN/sentinel garbage. A kernel that reads stale scratch
 // state after a Poison produces NaNs or absurd indices, which the
 // bitwise run-to-run property tests catch. Panics if live state is
@@ -100,29 +91,19 @@ func (s *Scratch) Poison() {
 		hh[k] = sentinel
 	}
 	s.h = s.h[:0]
-	ic := s.lc[:cap(s.lc)]
-	for k := range ic {
-		ic[k] = sentinel
-	}
-	ic = s.rc[:cap(s.rc)]
-	for k := range ic {
-		ic[k] = sentinel
-	}
-	fv := s.lv[:cap(s.lv)]
-	for k := range fv {
-		fv[k] = nan
-	}
-	fv = s.rv[:cap(s.rv)]
-	for k := range fv {
-		fv[k] = nan
-	}
-	s.lc, s.lv, s.rc, s.rv = s.lc[:0], s.lv[:0], s.rc[:0], s.rv[:0]
-	ee := s.ents[:cap(s.ents)]
-	for k := range ee {
-		ee[k] = pivEnt{col: sentinel, val: nan}
-	}
-	s.ents = s.ents[:0]
+	poisonEntries(s.sp.Lo, nan, sentinel)
+	poisonEntries(s.sp.Hi, nan, sentinel)
+	poisonEntries(s.ents, nan, sentinel)
+	s.sp.Lo, s.sp.Hi, s.ents = s.sp.Lo[:0], s.sp.Hi[:0], s.ents[:0]
 	s.out.poisonTail(nan, sentinel)
+}
+
+// poisonEntries scribbles over the whole capacity of an entry buffer.
+func poisonEntries(e []sparse.Entry, nan float64, sentinel int) {
+	e = e[:cap(e)]
+	for k := range e {
+		e[k] = sparse.Entry{Col: sentinel, Val: nan}
+	}
 }
 
 // slab is a chunked output arena: rows are carved from large chunks so
@@ -193,74 +174,28 @@ func (s *slab) discardAll() {
 	s.floats = s.floats[:0]
 }
 
-// takeInts stores a gathered row: nil for an empty row (matching
-// Gather-into-nil), an exact-fit copy in fresh mode, an arena carve
-// otherwise.
+// carve returns uninitialized storage for an n-entry output row: exact-fit
+// allocations in fresh mode, arena carves otherwise.
 //
 //pilut:hotpath
-func (s *Scratch) takeInts(src []int) []int {
-	if len(src) == 0 {
-		return nil
-	}
+func (s *Scratch) carve(n int) ([]int, []float64) {
 	if s.fresh {
-		out := make([]int, len(src)) //pilutlint:ok hotalloc legacy exact-fit mode used by the free-function wrappers only
-		copy(out, src)
-		return out
+		return make([]int, n), make([]float64, n) //pilutlint:ok hotalloc legacy exact-fit mode used by the free-function wrappers only
 	}
-	out := s.out.carveInts(len(src))
-	copy(out, src)
-	return out
+	return s.out.carveInts(n), s.out.carveFloats(n)
 }
 
-//pilut:hotpath
-func (s *Scratch) takeFloats(src []float64) []float64 {
-	if len(src) == 0 {
-		return nil
-	}
-	if s.fresh {
-		out := make([]float64, len(src)) //pilutlint:ok hotalloc legacy exact-fit mode used by the free-function wrappers only
-		copy(out, src)
-		return out
-	}
-	out := s.out.carveFloats(len(src))
-	copy(out, src)
-	return out
-}
-
-// sortEntsByMag sorts descending by |val|, ties toward smaller column —
-// the 2nd-rule selection order. Insertion sort: rows are short (≤ m plus
-// slack), the comparator is a total order, and no closure or interface
-// boxing touches the hot path.
+// takeRow stores a finished row: nil for an empty row (matching
+// Gather-into-nil), otherwise a carve filled from the entries.
 //
 //pilut:hotpath
-func sortEntsByMag(ents []pivEnt) {
-	for i := 1; i < len(ents); i++ {
-		e := ents[i]
-		ae := math.Abs(e.val)
-		j := i - 1
-		for j >= 0 {
-			aj := math.Abs(ents[j].val)
-			if aj > ae || (aj == ae && ents[j].col < e.col) {
-				break
-			}
-			ents[j+1] = ents[j]
-			j--
-		}
-		ents[j+1] = e
+func (s *Scratch) takeRow(e []sparse.Entry) ([]int, []float64) {
+	if len(e) == 0 {
+		return nil, nil
 	}
-}
-
-// sortEntsByCol sorts ascending by column (columns are distinct).
-//
-//pilut:hotpath
-func sortEntsByCol(ents []pivEnt) {
-	for i := 1; i < len(ents); i++ {
-		e := ents[i]
-		j := i - 1
-		for j >= 0 && ents[j].col > e.col {
-			ents[j+1] = ents[j]
-			j--
-		}
-		ents[j+1] = e
+	cols, vals := s.carve(len(e))
+	for k, x := range e {
+		cols[k], vals[k] = x.Col, x.Val
 	}
+	return cols, vals
 }

@@ -55,55 +55,84 @@ type Exchange struct {
 // All processors must call Distributed collectively with the same rounds
 // and seed. The returned mask is over owned, and the union across
 // processors is independent and nonempty whenever any vertex is active.
+// It runs on a workspace sized to the largest id it is given; callers
+// that compute one independent set after another hold a Workspace and
+// call its DistributedPlan instead.
 func Distributed(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) []bool {
-	sel, _ := DistributedPlan(p, owned, adj, active, owner, rounds, seed)
+	n := 0
+	for _, g := range owned {
+		n = max(n, g+1)
+	}
+	for _, nbrs := range adj {
+		for _, g := range nbrs {
+			n = max(n, g+1)
+		}
+	}
+	sel, _ := NewWorkspace(n).DistributedPlan(p, owned, adj, active, owner, rounds, seed)
 	return sel
 }
 
+// Workspace is the dense global-id index DistributedPlan resolves
+// vertices through, in place of hash maps: one slot per global id,
+// reused across calls and reset sparsely (only the slots a call touched)
+// before each call returns. A processor computing one independent set
+// per level keeps one Workspace for all of them.
+type Workspace struct {
+	// at[g] is 0 for an id the current call has not seen, li+1 for the
+	// owned vertex owned[li], and −(s+1) for the remote vertex in slot s
+	// of the remote state arrays.
+	at []int32
+}
+
+// NewWorkspace returns a workspace for global ids in [0, n).
+func NewWorkspace(n int) *Workspace { return &Workspace{at: make([]int32, n)} }
+
 // DistributedPlan is Distributed exposing the communication plan and the
-// global activity count (see Exchange).
-func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) ([]bool, *Exchange) {
+// global activity count (see Exchange). Every id in owned and adj must be
+// below the workspace's n.
+func (ws *Workspace) DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) ([]bool, *Exchange) {
 	if rounds <= 0 {
 		rounds = DefaultRounds
 	}
 	nLocal := len(owned)
 	P := p.P()
 
-	localIdx := make(map[int]int, nLocal)
+	at := ws.at
 	for i, g := range owned {
-		localIdx[g] = i
+		at[g] = int32(i + 1)
 	}
 
 	// --- communication setup phase -------------------------------------
 	// Collect the remote vertices whose state we need: every out-neighbour
 	// we do not own.
 	reqFrom := make([][]int, P)
-	remoteSlot := make(map[int]int) // global id → index into remote arrays
-	var remotes []int
+	defer func() {
+		for _, g := range owned {
+			at[g] = 0
+		}
+		for _, ids := range reqFrom {
+			for _, g := range ids {
+				at[g] = 0
+			}
+		}
+	}()
 	for _, nbrs := range adj {
 		for _, g := range nbrs {
-			if _, ok := localIdx[g]; ok {
-				continue
+			if at[g] != 0 {
+				continue // owned, or already requested
 			}
-			if _, ok := remoteSlot[g]; ok {
-				continue
-			}
-			remoteSlot[g] = len(remotes)
-			remotes = append(remotes, g)
+			at[g] = -1
 			q := owner(g)
 			reqFrom[q] = append(reqFrom[q], g)
 		}
 	}
+	// Slot remotes in (proc, id) order so message payloads are positional.
+	nRemote := 0
 	for q := range reqFrom {
 		sort.Ints(reqFrom[q])
-	}
-	// Re-slot remotes in (proc, id) order so message payloads are
-	// positional.
-	remotes = remotes[:0]
-	for q := 0; q < P; q++ {
 		for _, g := range reqFrom[q] {
-			remoteSlot[g] = len(remotes)
-			remotes = append(remotes, g)
+			nRemote++
+			at[g] = int32(-nRemote)
 		}
 	}
 
@@ -129,11 +158,10 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 				continue
 			}
 			for _, g := range ids {
-				li, ok := localIdx[g]
-				if !ok {
+				if at[g] <= 0 {
 					panic("mis: processor asked for a vertex we do not own")
 				}
-				needBy[src] = append(needBy[src], li)
+				needBy[src] = append(needBy[src], int(at[g])-1)
 			}
 		}
 	}
@@ -151,10 +179,10 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 	cand := make([]bool, nLocal)
 	keys := make([]uint64, nLocal)
 
-	remKey := make([]uint64, len(remotes))
-	remAct := make([]bool, len(remotes))
-	remCand := make([]bool, len(remotes))
-	remSel := make([]bool, len(remotes))
+	remKey := make([]uint64, nRemote)
+	remAct := make([]bool, nRemote)
+	remCand := make([]bool, nRemote)
+	remSel := make([]bool, nRemote)
 
 	// exchange sends one flag/key set per boundary vertex in both
 	// directions, following the setup lists.
@@ -246,11 +274,10 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 				scanned++
 				var uk uint64
 				var ua bool
-				if li, isLocal := localIdx[u]; isLocal {
-					uk, ua = keys[li], act[li]
+				if x := at[u]; x > 0 {
+					uk, ua = keys[x-1], act[x-1]
 				} else {
-					s := remoteSlot[u]
-					uk, ua = remKey[s], remAct[s]
+					uk, ua = remKey[-x-1], remAct[-x-1]
 				}
 				if ua && !less(keys[i], g, uk, u) {
 					ok = false
@@ -275,10 +302,10 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 					continue
 				}
 				var uc bool
-				if li, isLocal := localIdx[u]; isLocal {
-					uc = cand[li]
+				if x := at[u]; x > 0 {
+					uc = cand[x-1]
 				} else {
-					uc = remCand[remoteSlot[u]]
+					uc = remCand[-x-1]
 				}
 				if uc {
 					keep = false
@@ -304,10 +331,10 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 					continue
 				}
 				var us bool
-				if li, isLocal := localIdx[u]; isLocal {
-					us = newSel[li]
+				if x := at[u]; x > 0 {
+					us = newSel[x-1]
 				} else {
-					us = remSel[remoteSlot[u]]
+					us = remSel[-x-1]
 				}
 				if us {
 					act[i] = false
@@ -328,8 +355,8 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 				if u == g {
 					continue
 				}
-				if li, isLocal := localIdx[u]; isLocal {
-					act[li] = false
+				if x := at[u]; x > 0 {
+					act[x-1] = false
 				} else {
 					excl[owner(u)] = append(excl[owner(u)], u)
 				}
@@ -350,8 +377,8 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 			}
 			ids := p.Recv(q, tagExcl).([]int)
 			for _, g := range ids {
-				if li, ok := localIdx[g]; ok {
-					act[li] = false
+				if x := at[g]; x > 0 {
+					act[x-1] = false
 				}
 			}
 		}

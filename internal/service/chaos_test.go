@@ -227,23 +227,26 @@ func TestQueueShedsUnderOverload(t *testing.T) {
 		t.Fatal(err) // warm cache
 	}
 
-	// Pin the worker with an unreachable-tolerance blocker.
-	blockerCtx, stopBlocker := context.WithCancel(context.Background())
-	defer stopBlocker()
+	// The warm-up's worker counts itself running until just after it
+	// answers; wait it out, so "running" below can only be the blocker.
+	waitFor(t, "warm-up run to finish", func() bool {
+		return s.StatsSnapshot().Running == 0
+	})
+	// Hold the worker on a blocker's batch for as long as the test needs.
+	release := holdRuns(s)
+	defer release()
 	blockerDone := make(chan struct{})
 	go func() {
 		defer close(blockerDone)
-		s.Solve(blockerCtx, key, rhs(a.N, 2), SolveOptions{Tol: 1e-300, MaxMatVec: 500000})
+		s.Solve(context.Background(), key, rhs(a.N, 2), SolveOptions{})
 	}()
 	waitFor(t, "blocker to start running", func() bool {
 		return s.StatsSnapshot().Running == 1
 	})
 
 	// Fill the queue to MaxQueue, then one more must shed.
-	qctx, stopQueued := context.WithCancel(context.Background())
-	defer stopQueued()
 	for i := 0; i < cfg.MaxQueue; i++ {
-		go s.Solve(qctx, key, rhs(a.N, int64(3+i)), SolveOptions{Tol: 1e-300, MaxMatVec: 500000})
+		go s.Solve(context.Background(), key, rhs(a.N, int64(3+i)), SolveOptions{})
 	}
 	waitFor(t, "queue to fill", func() bool {
 		return s.StatsSnapshot().QueueDepth >= cfg.MaxQueue
@@ -258,8 +261,7 @@ func TestQueueShedsUnderOverload(t *testing.T) {
 		t.Fatal("shed requests not counted in stats")
 	}
 
-	stopBlocker()
-	stopQueued()
+	release()
 	<-blockerDone
 	waitFor(t, "workers to drain", func() bool {
 		st := s.StatsSnapshot()

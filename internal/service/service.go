@@ -297,6 +297,12 @@ type Server struct {
 	// Asynchronous replica drains after owner builds; waited out by
 	// Shutdown after the workers have exited.
 	replWG sync.WaitGroup
+
+	// runGate is a test seam, nil in production: when set (under mu), a
+	// worker that has taken a batch — counted as running, out of the
+	// queue — waits for the channel to close before running it, so a
+	// test can hold the worker busy for exactly as long as it needs.
+	runGate chan struct{}
 }
 
 // New starts a Server with cfg.Workers executor goroutines. It panics on
@@ -581,8 +587,12 @@ func (s *Server) worker() {
 		s.keyq = s.keyq[1:]
 		batch := s.takeBatchLocked(key)
 		aborting := s.aborting
+		gate := s.runGate
 		s.running++
 		s.mu.Unlock()
+		if gate != nil {
+			<-gate
+		}
 
 		if aborting {
 			s.failBatch(batch, ErrClosed)

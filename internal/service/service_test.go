@@ -54,6 +54,19 @@ func relResidual(a *sparse.CSR, x, b []float64) float64 {
 	return math.Sqrt(rr) / math.Sqrt(bb)
 }
 
+// holdRuns closes the service's run gate: every batch a worker takes
+// from now on waits, counted as running, until release is called. The
+// held worker is busy for exactly as long as the test needs, whatever the
+// host's speed. release is idempotent, so a test can also defer it.
+func holdRuns(s *Server) (release func()) {
+	gate := make(chan struct{})
+	s.mu.Lock()
+	s.runGate = gate
+	s.mu.Unlock()
+	var once sync.Once
+	return func() { once.Do(func() { close(gate) }) }
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -254,10 +267,18 @@ func TestBatchCoalescing(t *testing.T) {
 		t.Fatal(err) // warm cache
 	}
 
-	// Occupy the single worker with a long run (unreachable tolerance).
+	// The warm-up's worker counts itself running until just after it
+	// answers; wait it out, so "running" below can only be the blocker.
+	waitFor(t, "warm-up run to finish", func() bool {
+		return s.StatsSnapshot().Running == 0
+	})
+	// Hold the single worker on a blocker's batch until every request
+	// below has queued behind it.
+	release := holdRuns(s)
+	defer release()
 	blockerDone := make(chan error, 1)
 	go func() {
-		_, err := s.Solve(context.Background(), key, rhs(a.N, 2), SolveOptions{Tol: 1e-300, MaxMatVec: slowBudget()})
+		_, err := s.Solve(context.Background(), key, rhs(a.N, 2), SolveOptions{Tol: 1e-8})
 		blockerDone <- err
 	}()
 	waitFor(t, "blocker to start running", func() bool {
@@ -280,6 +301,7 @@ func TestBatchCoalescing(t *testing.T) {
 	waitFor(t, "requests to queue behind the blocker", func() bool {
 		return s.StatsSnapshot().QueueDepth >= n
 	})
+	release()
 	wg.Wait()
 	if err := <-blockerDone; err != nil {
 		t.Fatalf("blocker: %v", err)

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -15,7 +14,7 @@ type WorkRow struct {
 	mark  []bool // position currently holds a live entry
 	inIdx []bool // position present in the companion index list (may be dropped)
 	idx   []int
-	cand  []int // scratch for KeepLargest; per-row so concurrent WorkRows never share
+	cand  []Entry // scratch for KeepLargest; per-row so concurrent WorkRows never share
 }
 
 // NewWorkRow returns a WorkRow over vectors of length n.
@@ -62,9 +61,9 @@ func (w *WorkRow) PoisonClean() {
 	for k := range spare {
 		spare[k] = sentinel
 	}
-	spare = w.cand[:cap(w.cand)]
-	for k := range spare {
-		spare[k] = sentinel
+	cand := w.cand[:cap(w.cand)]
+	for k := range cand {
+		cand[k] = Entry{Col: sentinel, Val: math.NaN()}
 	}
 	w.cand = w.cand[:0]
 }
@@ -203,45 +202,75 @@ func (w *WorkRow) DropBelow(lo, hi int, tol float64, keep int) int {
 }
 
 // KeepLargest retains at most m marked positions within [lo, hi) — the m
-// of largest magnitude — and unmarks the rest. The protected position keep
-// is never dropped and does not count toward m (pass −1 for none).
-// Ties are broken toward smaller column index so the result is
-// deterministic. Returns the number of dropped entries.
+// that rank first in the dropping order (larger magnitude first, ties
+// toward the smaller column; see magKey for NaN) — and unmarks the rest.
+// The protected position keep is never dropped and does not count toward
+// m (pass −1 for none). The cap is a selection, not a sort. Returns the
+// number of dropped entries.
 //
 //pilut:hotpath
 func (w *WorkRow) KeepLargest(lo, hi, m int, keep int) int {
 	cand := w.cand[:0]
 	for _, j := range w.idx {
 		if w.mark[j] && j >= lo && j < hi && j != keep {
-			cand = append(cand, j) //pilutlint:ok hotalloc candidate scratch grows to peak row nnz once, then is reused across rows
+			cand = append(cand, Entry{j, w.val[j]}) //pilutlint:ok hotalloc candidate scratch grows to peak row nnz once, then is reused across rows
 		}
 	}
 	w.cand = cand
 	if len(cand) <= m {
 		return 0
 	}
-	// Select the m largest by magnitude: sort descending by |value|,
-	// breaking ties by column index. slices.SortFunc, not sort.Slice: the
-	// generic form boxes nothing and the comparator stays on the stack, so
-	// the 2nd dropping rule costs zero allocations. The comparator is a
-	// total order (columns are distinct), so the kept set is identical to
-	// any other correct sort.
-	//pilutlint:ok hotalloc the comparator closure does not escape slices.SortFunc; no boxing, no heap allocation
-	slices.SortFunc(cand, func(x, y int) int {
-		ax, ay := math.Abs(w.val[x]), math.Abs(w.val[y])
-		switch {
-		case ax > ay:
-			return -1
-		case ax < ay:
-			return 1
-		default:
-			return x - y
-		}
-	})
-	dropped := 0
-	for _, j := range cand[m:] {
-		w.Drop(j)
-		dropped++
+	selectLargest(cand, m)
+	for _, e := range cand[m:] {
+		w.Drop(e.Col)
 	}
-	return dropped
+	return len(cand) - m
+}
+
+// RowSplit receives what WorkRow.Drain takes out of a row. Lo and Hi are
+// reused buffers: a holder keeps one RowSplit per working row, and each
+// Drain overwrites it.
+type RowSplit struct {
+	Lo, Hi []Entry // survivors with column < split / ≥ split, in index-list order
+	Keep   float64 // value at the protected position (0 when unmarked)
+	// HasKeep reports whether the protected position was marked.
+	HasKeep bool
+	// DroppedLo/DroppedHi count threshold drops on each side of the split.
+	DroppedLo, DroppedHi int
+}
+
+// Drain empties the working row in a single pass over its index list: it
+// drops every marked entry whose magnitude is < tol, splits the
+// survivors at column split into sp.Lo and sp.Hi, and leaves the row
+// reset as Reset does. The protected position keep (−1 for none) is
+// never dropped and goes to sp.Keep instead of either list. It is the
+// one-pass row tail of the threshold factorizations: threshold, split
+// and reset in one sweep, with the caps (CapSorted) applied afterwards to
+// the compact lists.
+//
+//pilut:hotpath
+func (w *WorkRow) Drain(split, keep int, tol float64, sp *RowSplit) {
+	sp.Lo, sp.Hi = sp.Lo[:0], sp.Hi[:0]
+	sp.Keep, sp.HasKeep = 0, false
+	sp.DroppedLo, sp.DroppedHi = 0, 0
+	for _, j := range w.idx {
+		v, live := w.val[j], w.mark[j]
+		w.mark[j], w.inIdx[j], w.val[j] = false, false, 0
+		switch {
+		case !live:
+		case j == keep:
+			sp.Keep, sp.HasKeep = v, true
+		case math.Abs(v) < tol:
+			if j < split {
+				sp.DroppedLo++
+			} else {
+				sp.DroppedHi++
+			}
+		case j < split:
+			sp.Lo = append(sp.Lo, Entry{j, v}) //pilutlint:ok hotalloc split buffer grows to peak row nnz once, then is reused across rows
+		default:
+			sp.Hi = append(sp.Hi, Entry{j, v}) //pilutlint:ok hotalloc split buffer grows to peak row nnz once, then is reused across rows
+		}
+	}
+	w.idx = w.idx[:0]
 }
